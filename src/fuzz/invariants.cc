@@ -111,6 +111,11 @@ checkSystemInvariants(const System &sys, const Workload &wl,
         rep.add("pool.steady-state", "sim.eq.overflow", 0,
                 static_cast<double>(p.eqOverflow),
                 "overflow-heap residue after drain");
+    if (p.l2Parked != 0)
+        rep.add("pool.steady-state", "denovo.l2.parked", 0,
+                static_cast<double>(p.l2Parked),
+                "requests still parked on a full L2 set after drain "
+                "(lost wakeup)");
 
     std::uint64_t loads = 0, stores = 0;
     workloadOpCounts(wl, loads, stores);

@@ -18,8 +18,8 @@
  *  - **core.issue-counts**: demand loads/stores accepted at the L1s
  *    must equal the workload's trace op counts.
  *  - **pool.steady-state**: after a drained run, every network
- *    message-pool slot is back on the free list and the event queue
- *    is empty.
+ *    message-pool slot is back on the free list, the event queue is
+ *    empty and no DeNovo L2 request is still parked on a full set.
  *  - **traffic.attribution**: attributed traffic never exceeds the
  *    whole-run flit-hops charged at injection.  (Exact equality with
  *    the *windowed* raw total is unattainable by design: data in

@@ -652,30 +652,6 @@ DenovoL1::handleRecall(const Message &msg)
 }
 
 void
-DenovoL1::handleNack(const Message &msg)
-{
-    const auto orig = static_cast<MsgKind>(msg.aux);
-    const Addr la = msg.line;
-    if (orig == MsgKind::DnReg) {
-        const WordMask words = msg.mask;
-        eq_.schedule(params_.nackRetryDelay, [this, la, words] {
-            Message reg;
-            reg.kind = MsgKind::DnReg;
-            reg.src = l1Ep(id_);
-            reg.dst = l2Ep(params_.topo.homeSlice(la));
-            reg.line = la;
-            reg.mask = words;
-            reg.requester = id_;
-            reg.cls = TrafficClass::Store;
-            reg.ctl = CtlType::ReqCtl;
-            net_.send(std::move(reg));
-        });
-    } else {
-        scheduleRetry(la);
-    }
-}
-
-void
 DenovoL1::dumpLine(Addr line_addr) const
 {
     const CacheLine *cl = array_.find(line_addr);
@@ -771,9 +747,6 @@ DenovoL1::handle(Message msg)
             msg.aux);
         break;
       }
-      case MsgKind::Nack:
-        handleNack(msg);
-        break;
       default:
         panic("DeNovo L1 got unexpected %s", msgKindName(msg.kind));
     }

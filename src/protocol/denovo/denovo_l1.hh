@@ -113,7 +113,6 @@ class DenovoL1 : public L1Cache
     void handleFwdLoadReq(const Message &msg);
     void handleRegInv(const Message &msg);
     void handleRecall(const Message &msg);
-    void handleNack(const Message &msg);
 
     CoreId id_;
     ProtocolConfig cfg_;

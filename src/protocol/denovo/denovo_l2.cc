@@ -1,5 +1,7 @@
 #include "protocol/denovo/denovo_l2.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 #include "dram/memory_controller.hh"
 #include "obs/debug.hh"
@@ -15,22 +17,6 @@ DenovoL2::DenovoL2(NodeId slice, const ProtocolConfig &cfg,
       array_(params.l2Sets, params.l2Ways, params.topo.numTiles()),
       bloom_(params.bloomFilters)
 {
-}
-
-void
-DenovoL2::nack(Endpoint to, MsgKind orig, Addr line_addr, WordMask mask)
-{
-    ++nacks_;
-    Message n;
-    n.kind = MsgKind::Nack;
-    n.src = l2Ep(slice_);
-    n.dst = to;
-    n.line = line_addr;
-    n.mask = mask;
-    n.cls = TrafficClass::Overhead;
-    n.ctl = CtlType::OhNack;
-    n.aux = static_cast<unsigned>(orig);
-    net_.send(std::move(n));
 }
 
 void
@@ -200,33 +186,24 @@ DenovoL2::startMemFetch(Addr line_addr, WordMask missing, CoreId requester,
         return;
     }
 
+    auto retry = [this, line_addr, missing, requester, cls, flex_request] {
+        startMemFetch(line_addr, missing, requester, cls, flex_request);
+    };
+
     // The line itself may be mid-recall (it was chosen as someone's
     // victim): fetching into a dying line would lose the data when
     // the recall completes.  Defer until the slot is free.
     auto rit = recalls_.find(line_addr);
     if (rit != recalls_.end()) {
-        rit->second.conts.push_back(
-            [this, line_addr, missing, requester, cls, flex_request] {
-                startMemFetch(line_addr, missing, requester, cls,
-                              flex_request);
-            });
+        rit->second.conts.push_back(std::move(retry));
         return;
     }
 
     CacheLine *cl = array_.find(line_addr);
     if (!cl) {
         CacheLine *slot = array_.victimFor(line_addr);
-        if (!slot) {
-            nack(l1Ep(requester), MsgKind::DnLoadReq, line_addr, missing);
-            return;
-        }
-        if (slot->valid) {
-            recallVictim(*slot,
-                         [this, line_addr, missing, requester, cls,
-                          flex_request] {
-                             startMemFetch(line_addr, missing, requester,
-                                           cls, flex_request);
-                         });
+        if (!slot || slot->valid) {
+            awaitWay(line_addr, slot, std::move(retry));
             return;
         }
         array_.resetTo(*slot, line_addr);
@@ -273,6 +250,7 @@ DenovoL2::handleMemData(Message &msg)
         CacheLine *cl = array_.find(la);
         panic_if(!cl, "MemData for unallocated DeNovo L2 line");
         cl->busy = false;
+        wakeSet(la);
 
         for (unsigned w = 0; w < wordsPerLine; ++w) {
             if (!chunk.mask.test(w))
@@ -373,7 +351,7 @@ DenovoL2::handleReg(Message &msg)
     if (rit != recalls_.end()) {
         Message copy = msg;
         rit->second.conts.push_back(
-            [this, copy]() mutable { handle(copy); });
+            [this, copy]() mutable { dispatch(copy); });
         return;
     }
 
@@ -381,28 +359,26 @@ DenovoL2::handleReg(Message &msg)
 
     if (!cl) {
         if (!cfg_.l2WriteValidate) {
-            // Fetch-on-write at the L2 (baseline DeNovo): bring the
-            // line in from memory first, then register.
             auto it = memMshrs_.find(la);
             if (it != memMshrs_.end()) {
                 it->second.pendingRegs.emplace_back(msg.requester,
                                                     msg.mask);
                 return;
             }
-            CacheLine *slot = array_.victimFor(la);
-            if (!slot) {
-                nack(msg.src, MsgKind::DnReg, la, msg.mask);
-                return;
-            }
-            if (slot->valid) {
-                Message copy = msg;
-                recallVictim(*slot, [this, copy]() mutable {
-                    handle(copy);
-                });
-                return;
-            }
-            array_.resetTo(*slot, la);
-            array_.touch(*slot);
+        }
+        CacheLine *slot = array_.victimFor(la);
+        if (!slot || slot->valid) {
+            Message copy = msg;
+            awaitWay(la, slot,
+                     [this, copy]() mutable { dispatch(copy); });
+            return;
+        }
+        array_.resetTo(*slot, la);
+        array_.touch(*slot);
+
+        if (!cfg_.l2WriteValidate) {
+            // Fetch-on-write at the L2 (baseline DeNovo): bring the
+            // line in from memory first, then register.
             slot->busy = true;
 
             MemMshr m;
@@ -426,18 +402,6 @@ DenovoL2::handleReg(Message &msg)
         }
 
         // L2 write-validate: allocate the tag, no fetch.
-        CacheLine *slot = array_.victimFor(la);
-        if (!slot) {
-            nack(msg.src, MsgKind::DnReg, la, msg.mask);
-            return;
-        }
-        if (slot->valid) {
-            Message copy = msg;
-            recallVictim(*slot, [this, copy]() mutable { handle(copy); });
-            return;
-        }
-        array_.resetTo(*slot, la);
-        array_.touch(*slot);
         cl = slot;
     }
 
@@ -464,6 +428,7 @@ DenovoL2::handleWb(Message &msg)
                 cl->registeredMask().empty() && !cl->busy) {
                 memProf_.presentClearLine(la);
                 array_.invalidate(*cl);
+                wakeSet(la);
             }
         }
         return;
@@ -496,7 +461,8 @@ DenovoL2::handleWb(Message &msg)
         CacheLine *slot = array_.victimFor(la);
         if (slot && slot->valid) {
             Message copy = msg;
-            recallVictim(*slot, [this, copy]() mutable { handle(copy); });
+            recallVictim(*slot,
+                         [this, copy]() mutable { dispatch(copy); });
             return;
         }
         if (!slot) {
@@ -568,6 +534,72 @@ DenovoL2::handleWb(Message &msg)
     ack.cls = TrafficClass::Writeback;
     ack.ctl = CtlType::WbControl;
     net_.send(std::move(ack));
+}
+
+void
+DenovoL2::awaitWay(Addr line_addr, CacheLine *victim,
+                   std::function<void()> cont)
+{
+    if (victim) {
+        recallVictim(*victim, std::move(cont));
+        return;
+    }
+    // Every way is mid-transaction; each one's fill or eviction wakes
+    // the set (wakeSet), so nothing polls.
+    const unsigned set = array_.setIndex(line_addr);
+    auto &q = setWaiters_[set];
+    if (set == drainingSet_) {
+        // A woken waiter found the set full again: it keeps its place
+        // at the head and the drain stops.
+        q.push_front(std::move(cont));
+        reparked_ = true;
+        return;
+    }
+    ++parked_;
+    q.push_back(std::move(cont));
+}
+
+void
+DenovoL2::wakeSet(Addr line_addr)
+{
+    if (setWaiters_.empty())
+        return;
+    const unsigned set = array_.setIndex(line_addr);
+    // A way freed while its own set drains is seen by the next waiter.
+    if (set == drainingSet_ || !setWaiters_.count(set) ||
+        std::find(woken_.begin(), woken_.end(), set) != woken_.end())
+        return;
+    woken_.push_back(set);
+}
+
+void
+DenovoL2::drainWoken()
+{
+    while (!woken_.empty()) {
+        const unsigned set = woken_.front();
+        woken_.erase(woken_.begin());
+        // References into an unordered_map survive rehashing.
+        auto &q = setWaiters_.at(set);
+        drainingSet_ = set;
+        reparked_ = false;
+        while (!reparked_ && !q.empty()) {
+            auto cont = std::move(q.front());
+            q.pop_front();
+            cont();
+        }
+        drainingSet_ = noSet;
+        if (q.empty())
+            setWaiters_.erase(set);
+    }
+}
+
+std::size_t
+DenovoL2::parkedNow() const
+{
+    std::size_t n = 0;
+    for (const auto &[set, q] : setWaiters_)
+        n += q.size();
+    return n;
 }
 
 void
@@ -664,6 +696,7 @@ DenovoL2::finishVictim(Addr victim_line)
         bloom_.remove(victim_line);
     memProf_.presentClearLine(victim_line);
     array_.invalidate(*cl);
+    wakeSet(victim_line);
 }
 
 void
@@ -713,11 +746,24 @@ DenovoL2::dumpLine(Addr line_addr) const
                      m->second.pendingRegs.size());
     if (recalls_.count(line_addr))
         std::fprintf(stderr, " [recalling]");
+    auto sw = setWaiters_.find(array_.setIndex(line_addr));
+    if (sw != setWaiters_.end())
+        std::fprintf(stderr, " setWaiters=%zu", sw->second.size());
     std::fprintf(stderr, "\n");
 }
 
 void
 DenovoL2::handle(Message msg)
+{
+    dispatch(msg);
+    // After the handler, so a recall's own continuation has already
+    // claimed the way its victim freed.
+    if (!woken_.empty())
+        drainWoken();
+}
+
+void
+DenovoL2::dispatch(Message &msg)
 {
     switch (msg.kind) {
       case MsgKind::DnLoadReq:

@@ -6,7 +6,9 @@
  * Registered to an L1 (the registrant holds the up-to-date copy), or
  * Invalid.  There are no sharer lists and no transient states; the
  * only "blocking" is a per-line MSHR for outstanding memory fetches,
- * which merges later requesters.
+ * which merges later requesters.  A request that needs a way of a set
+ * whose every way is mid-transaction is parked on that set and re-run
+ * when a way frees up; the slice never NACKs.
  *
  * Optimizations implemented here: L2 write-validate (no
  * fetch-on-write), dirty-words-only writebacks to memory, L2 Flex
@@ -18,6 +20,7 @@
 #ifndef WASTESIM_PROTOCOL_DENOVO_DENOVO_L2_HH
 #define WASTESIM_PROTOCOL_DENOVO_DENOVO_L2_HH
 
+#include <deque>
 #include <functional>
 #include <unordered_map>
 #include <vector>
@@ -42,6 +45,8 @@ class DenovoL2 : public MessageHandler
              const SimParams &params, EventQueue &eq, Network &net,
              WordProfiler &prof, MemProfiler &mem_prof);
 
+    /** Dispatch @p msg, then re-run the waiters of every set a way
+     *  of which stopped being busy meanwhile. */
     void handle(Message msg) override;
 
     /** MC presence oracle. */
@@ -59,7 +64,10 @@ class DenovoL2 : public MessageHandler
     std::uint64_t memFetches() const { return memFetches_; }
     std::uint64_t registrations() const { return registrations_; }
     std::uint64_t recallsIssued() const { return recallsIssued_; }
-    std::uint64_t nacks() const { return nacks_; }
+    /** Requests parked because every way of their set was busy. */
+    std::uint64_t parked() const { return parked_; }
+    /** Requests parked right now (0 once a run has drained). */
+    std::size_t parkedNow() const;
 
     const CacheArray &array() const { return array_; }
 
@@ -87,6 +95,7 @@ class DenovoL2 : public MessageHandler
         std::vector<std::function<void()>> conts;
     };
 
+    void dispatch(Message &msg);
     void handleLoadReq(Message &msg);
     void handleReg(Message &msg);
     void handleWb(Message &msg);
@@ -102,6 +111,18 @@ class DenovoL2 : public MessageHandler
 
     void applyRegistration(CacheLine &cl, CoreId req, WordMask mask);
 
+    /**
+     * Run @p cont once @p line_addr can have a way: after recalling
+     * @p victim, or, if every way is busy (@p victim is nullptr),
+     * after one stops being busy.
+     */
+    void awaitWay(Addr line_addr, CacheLine *victim,
+                  std::function<void()> cont);
+    /** A way of @p line_addr's set stopped being busy. */
+    void wakeSet(Addr line_addr);
+    /** Re-run the woken sets' waiters in arrival order. */
+    void drainWoken();
+
     void recallVictim(CacheLine &victim, std::function<void()> cont);
     void progressRecall(Addr victim_line);
     void finishVictim(Addr victim_line);
@@ -110,7 +131,6 @@ class DenovoL2 : public MessageHandler
                       Tick t_mem = 0);
     void sendRegInvs(Addr line_addr,
                      const std::unordered_map<NodeId, WordMask> &invs);
-    void nack(Endpoint to, MsgKind orig, Addr line_addr, WordMask mask);
 
     void syncBloom(CacheLine &cl);
 
@@ -126,9 +146,17 @@ class DenovoL2 : public MessageHandler
 
     std::unordered_map<Addr, MemMshr> memMshrs_;
     std::unordered_map<Addr, RecallTxn> recalls_;
+    /** Per-set FIFO of requests waiting for a way to stop being busy. */
+    std::unordered_map<unsigned, std::deque<std::function<void()>>>
+        setWaiters_;
+    /** Sets with waiters a way of which stopped being busy. */
+    std::vector<unsigned> woken_;
+    static constexpr unsigned noSet = ~0u;
+    unsigned drainingSet_ = noSet;
+    bool reparked_ = false;
 
     std::uint64_t wordHits_ = 0, memFetches_ = 0, registrations_ = 0;
-    std::uint64_t recallsIssued_ = 0, nacks_ = 0;
+    std::uint64_t recallsIssued_ = 0, parked_ = 0;
 };
 
 } // namespace wastesim

@@ -86,7 +86,7 @@ struct SimParams
     Tick wcTimeout = 10000;      //!< write-combining flush timeout
 
     // Protocol plumbing.
-    Tick nackRetryDelay = 20;
+    Tick nackRetryDelay = 20;    //!< MESI L1 retry after a NACK
     Tick loadRetryDelay = 500;   //!< DeNovo partial-response retry
     unsigned bloomFilters = 32;  //!< request-bypass filters per slice
 

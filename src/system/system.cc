@@ -623,7 +623,6 @@ System::run(Tick max_ticks)
         }
     } else {
         for (const auto &l2 : dnL2s_) {
-            r.nacks += l2->nacks();
             r.recalls += l2->recallsIssued();
             r.l2Accesses += l2->wordHits() + l2->memFetches() +
                             l2->registrations();
@@ -772,10 +771,10 @@ System::registerObservables(SimObserver &o)
                 v += l2->recallsIssued();
             return static_cast<double>(v);
         });
-        s.add("denovo.nacks", cnt, MetricKind::U64, true, [this] {
+        s.add("denovo.parked", cnt, MetricKind::U64, true, [this] {
             std::uint64_t v = 0;
             for (const auto &l2 : dnL2s_)
-                v += l2->nacks();
+                v += l2->parked();
             return static_cast<double>(v);
         });
         s.add("l1.misses", cnt, MetricKind::U64, true, [this] {
@@ -864,6 +863,8 @@ System::probe() const
         p.eqPending += q->pending();
         p.eqOverflow += q->overflowSize();
     }
+    for (const auto &l2 : dnL2s_)
+        p.l2Parked += l2->parkedNow();
     p.linkFlitsTotal = net_->totalLinkFlits();
     p.flitHopsCharged = net_->flitHopsCharged();
     return p;

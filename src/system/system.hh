@@ -98,7 +98,7 @@ struct RunResult
 /**
  * End-of-run structural state snapshot for the fuzzer's invariant
  * checker: demand-request totals to balance against the workload's
- * trace op counts, pool/queue occupancy for the alloc-free
+ * trace op counts, pool/queue occupancy and parked L2 requests for the
  * steady-state law, and the network's two independently maintained
  * flit-hop totals for per-link conservation.  In parallel runs every
  * field is summed over the domains.
@@ -111,6 +111,7 @@ struct SystemProbe
     std::size_t msgPoolFree = 0;    //!< free-listed slots (== size when idle)
     std::size_t eqPending = 0;      //!< events still queued
     std::size_t eqOverflow = 0;     //!< overflow-heap residue
+    std::size_t l2Parked = 0;       //!< DeNovo L2 requests still parked
     std::uint64_t linkFlitsTotal = 0; //!< sum of the per-link matrix
     std::uint64_t flitHopsCharged = 0; //!< flits x hops at injection
 };

@@ -178,11 +178,18 @@ TEST(DeNovo, EvictionWritesBackDirtyWordsOnly)
 TEST(DeNovo, DirtyWordsOnlyMemWriteback)
 {
     // Push dirty words through the L2 to memory; with DValidateL2 the
-    // memory writeback carries no unmodified words.
+    // memory writeback carries no unmodified words.  The stream is
+    // twice the scaled L2 and paced so that each line's fetch-on-write
+    // fill lands before the L1 evicts it: the L1's writeback then
+    // dirties a resident L2 line, which the L2 later evicts as a
+    // victim together with its fetched clean words.
     ScriptWorkload wl;
-    const Addr a = wl.alloc(2 * 1024 * 1024);
-    for (Addr off = 0; off < 2 * 1024 * 1024; off += bytesPerLine)
+    const Addr bytes = 1024 * 1024;
+    const Addr a = wl.alloc(bytes);
+    for (Addr off = 0; off < bytes; off += bytesPerLine) {
         wl.store(0, a + off);
+        wl.work(0, 20);
+    }
     wl.finish();
 
     const RunResult base = runWl(ProtocolName::DeNovo, wl);

@@ -141,6 +141,53 @@ struct L2Harness
         net.send(std::move(m));
         eq.run();
     }
+
+    /** Memory returns the full lines @p las in one MemData. */
+    void
+    memData(std::initializer_list<Addr> las)
+    {
+        Message m;
+        m.kind = MsgKind::MemData;
+        m.src = mcEp(params.topo.memChannel(*las.begin()));
+        m.dst = l2Ep(0);
+        m.line = *las.begin();
+        m.cls = TrafficClass::Load;
+        m.ctl = CtlType::RespCtl;
+        for (const Addr la : las)
+            m.chunks.push_back(LineChunk(la, WordMask::full()));
+        net.send(std::move(m));
+        eq.run();
+    }
+
+    /** The @p k-th slice-0 line of set 0 (32 sets, 4 lines apart). */
+    static Addr setLine(unsigned k) { return line(8 * k); }
+
+    /** Occupy every way of set 0 with an outstanding fetch. */
+    void
+    fillSetWithFetches()
+    {
+        for (unsigned k = 0; k < params.l2Ways; ++k)
+            loadReq(1, setLine(k), WordMask::full());
+    }
+
+    unsigned
+    memReadsFor(Addr la) const
+    {
+        unsigned n = 0;
+        for (const auto &mc : mcs)
+            for (const auto &m : mc.received)
+                n += m.kind == MsgKind::MemRead && m.line == la;
+        return n;
+    }
+
+    unsigned
+    nacksSent() const
+    {
+        unsigned n = 0;
+        for (const auto &l1 : l1s)
+            n += l1.count(MsgKind::Nack);
+        return n;
+    }
 };
 
 } // namespace
@@ -318,6 +365,76 @@ TEST(DenovoL2Unit, BloomCopyRespondsWithImage)
     ASSERT_NE(resp, nullptr);
     EXPECT_EQ(resp->rawWords, 16u); // a 64-byte image
     EXPECT_FALSE(resp->blob.empty());
+}
+
+TEST(DenovoL2Unit, FullSetParksRegistrationAndLoadWithoutNack)
+{
+    L2Harness h(ProtocolName::DeNovo);
+    h.fillSetWithFetches();
+    ASSERT_EQ(h.l2->array().setIndex(L2Harness::setLine(h.params.l2Ways)),
+              h.l2->array().setIndex(L2Harness::setLine(0)));
+
+    const Addr reg_line = L2Harness::setLine(h.params.l2Ways);
+    const Addr load_line = L2Harness::setLine(h.params.l2Ways + 1);
+    h.reg(3, reg_line, WordMask::single(0));
+    h.loadReq(5, load_line, WordMask::full());
+
+    EXPECT_EQ(h.l2->parked(), 2u);
+    EXPECT_EQ(h.l2->parkedNow(), 2u);
+    EXPECT_EQ(h.nacksSent(), 0u);
+    EXPECT_EQ(h.memReadsFor(reg_line), 0u);
+    EXPECT_EQ(h.memReadsFor(load_line), 0u);
+    EXPECT_EQ(h.l1s[3].count(MsgKind::DnRegAck), 0u);
+}
+
+TEST(DenovoL2Unit, FreedWayServesParkedRequestsInArrivalOrder)
+{
+    L2Harness h(ProtocolName::DeNovo);
+    h.fillSetWithFetches();
+    const Addr reg_line = L2Harness::setLine(h.params.l2Ways);
+    const Addr load_line = L2Harness::setLine(h.params.l2Ways + 1);
+    h.reg(3, reg_line, WordMask::single(0));
+    h.loadReq(5, load_line, WordMask::full());
+
+    // One freed way goes to the older request; the newer one stays
+    // parked, and nothing polls meanwhile.
+    h.memData({L2Harness::setLine(0)});
+    ASSERT_EQ(h.memReadsFor(reg_line), 1u);
+    EXPECT_EQ(h.memReadsFor(load_line), 0u);
+    EXPECT_EQ(h.l2->parkedNow(), 1u);
+
+    h.memData({L2Harness::setLine(1)});
+    ASSERT_EQ(h.memReadsFor(load_line), 1u);
+    EXPECT_EQ(h.l2->parkedNow(), 0u);
+    EXPECT_EQ(h.l2->parked(), 2u); // a re-park is not a new request
+    EXPECT_EQ(h.nacksSent(), 0u);
+
+    // Both complete once memory answers.
+    h.memData({reg_line});
+    h.memData({load_line});
+    ASSERT_NE(h.l1s[3].last(MsgKind::DnRegAck), nullptr);
+    ASSERT_NE(h.l1s[5].last(MsgKind::DnLoadResp), nullptr);
+}
+
+TEST(DenovoL2Unit, OneMemDataFreeingTwoWaysServesBothParkedInOrder)
+{
+    L2Harness h(ProtocolName::DeNovo);
+    h.fillSetWithFetches();
+    const Addr reg_line = L2Harness::setLine(h.params.l2Ways);
+    const Addr load_line = L2Harness::setLine(h.params.l2Ways + 1);
+    h.reg(3, reg_line, WordMask::single(0));
+    h.loadReq(5, load_line, WordMask::full());
+
+    h.memData({L2Harness::setLine(0), L2Harness::setLine(1)});
+    EXPECT_EQ(h.memReadsFor(reg_line), 1u);
+    EXPECT_EQ(h.memReadsFor(load_line), 1u);
+    EXPECT_EQ(h.l2->parkedNow(), 0u);
+    // Allocation order follows arrival order.
+    const CacheLine *r = h.l2->array().find(reg_line);
+    const CacheLine *l = h.l2->array().find(load_line);
+    ASSERT_NE(r, nullptr);
+    ASSERT_NE(l, nullptr);
+    EXPECT_LT(r->lastUse, l->lastUse);
 }
 
 } // namespace wastesim

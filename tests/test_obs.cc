@@ -302,15 +302,23 @@ TEST(Observer, ObservedRunSerializesIdenticallyToUnobserved)
     // Full observation on — windowed sampling, timeline spans and
     // per-link heatmap snapshots: the windowed run loop and every
     // emission site must not perturb a single serialized byte.
+    const std::string tl = ::testing::TempDir() + "obs_test_tl_%p_%b.json";
+    const std::string hm = ::testing::TempDir() + "obs_test_hm_%p_%b.csv";
     obsConfig().sampleWindow = 500;
-    obsConfig().timelineOut = "obs_test_tl_%p_%b.json";
-    obsConfig().heatmapOut = "obs_test_hm_%p_%b.csv";
+    obsConfig().timelineOut = tl;
+    obsConfig().heatmapOut = hm;
     const std::string observed = computeAll();
     EXPECT_EQ(plain, observed)
         << "windowed sampling changed simulation results";
+
+    // Tracing enabled (to a swallowing sink) must not perturb either.
+    ASSERT_TRUE(debug::setFlags("all"));
+    debug::sink = [](const std::string &) {};
+    const std::string traced = computeAll();
+    EXPECT_EQ(plain, traced) << "tracing changed simulation results";
+
     for (ProtocolName p : spec.protocols) {
-        for (const char *pat :
-             {"obs_test_tl_%p_%b.json", "obs_test_hm_%p_%b.csv"}) {
+        for (const std::string &pat : {tl, hm}) {
             const std::string f = expandObsPath(
                 pat, protocolName(p),
                 benchmarkName(BenchmarkName::LU));
@@ -318,12 +326,6 @@ TEST(Observer, ObservedRunSerializesIdenticallyToUnobserved)
                 << f << " was not written";
         }
     }
-
-    // Tracing enabled (to a swallowing sink) must not perturb either.
-    ASSERT_TRUE(debug::setFlags("all"));
-    debug::sink = [](const std::string &) {};
-    const std::string traced = computeAll();
-    EXPECT_EQ(plain, traced) << "tracing changed simulation results";
 }
 
 TEST(Observer, GoldenCellMatchesObservedRecomputation)
