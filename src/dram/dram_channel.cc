@@ -1,6 +1,7 @@
 #include "dram/dram_channel.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hh"
 #include "obs/debug.hh"
@@ -11,8 +12,19 @@ namespace wastesim
 
 DramChannel::DramChannel(EventQueue &eq, DramMap map, unsigned channel)
     : eq_(eq), map_(map), channel_(channel),
-      banks_(map.timing.totalBanks())
+      banks_(map.timing.totalBanks()),
+      hasWork_((banks_.size() + 63) / 64)
 {
+}
+
+template <typename F>
+void
+DramChannel::forEachBankWithWork(F &&f) const
+{
+    for (std::size_t w = 0; w < hasWork_.size(); ++w) {
+        for (std::uint64_t m = hasWork_[w]; m != 0; m &= m - 1)
+            f(static_cast<unsigned>(w * 64 + std::countr_zero(m)));
+    }
 }
 
 void
@@ -22,49 +34,74 @@ DramChannel::enqueue(DramRequest req)
         ++writes_;
     else
         ++reads_;
-    req.bankIdx = static_cast<unsigned>(map_.bankOf(req.line));
-    queue_.push_back(std::move(req));
-    queuePeak_ = std::max(queuePeak_, queue_.size());
+
+    std::uint32_t slot;
+    if (freeSlots_.empty()) {
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.push_back(std::move(req));
+    } else {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        slots_[slot] = std::move(req);
+    }
+
+    const Addr line = slots_[slot].line;
+    const unsigned b = map_.bankOf(line);
+    banks_[b].queue.push_back({nextSeq_++, map_.rowOf(line), slot});
+    hasWork_[b / 64] |= std::uint64_t(1) << (b % 64);
+    queuePeak_ = std::max(queuePeak_, ++queued_);
     trySchedule();
 }
 
 void
 DramChannel::trySchedule()
 {
-    while (!queue_.empty()) {
+    while (queued_ > 0) {
         const Tick now = eq_.now();
 
         // First-ready: oldest request hitting an open row on a ready
-        // bank.  Fallback: oldest request whose bank is ready.  One
-        // pass finds both candidates.
-        const std::size_t none = ~std::size_t(0);
-        std::size_t pick = none, fallback = none;
-        for (std::size_t i = 0; i < queue_.size(); ++i) {
-            const DramRequest &r = queue_[i];
-            const Bank &b = banks_[r.bankIdx];
-            if (b.readyAt > now)
-                continue;
-            if (b.rowOpen && b.openRow == map_.rowOf(r.line)) {
-                pick = i;
-                break;
+        // bank.  Fallback: oldest request whose bank is ready.  Each
+        // bank's queue is oldest first, so its head is its fallback
+        // candidate and its row-hit scan stops at the first hit, or
+        // once it is no older than the best hit found so far.
+        constexpr std::uint64_t none = ~std::uint64_t(0);
+        std::uint64_t hitSeq = none, headSeq = none;
+        unsigned hitBank = 0, headBank = 0;
+        std::size_t hitPos = 0;
+        forEachBankWithWork([&](unsigned b) {
+            const Bank &bank = banks_[b];
+            if (bank.readyAt > now)
+                return;
+            const std::vector<Pending> &q = bank.queue;
+            if (q.front().seq < headSeq) {
+                headSeq = q.front().seq;
+                headBank = b;
             }
-            if (fallback == none)
-                fallback = i;
-        }
-        if (pick == none)
-            pick = fallback;
+            if (!bank.rowOpen)
+                return;
+            for (std::size_t i = 0; i < q.size() && q[i].seq < hitSeq;
+                 ++i) {
+                if (q[i].row == bank.openRow) {
+                    hitSeq = q[i].seq;
+                    hitBank = b;
+                    hitPos = i;
+                    break;
+                }
+            }
+        });
 
-        auto it = pick == none ? queue_.end() : queue_.begin() + pick;
-
-        if (it == queue_.end()) {
+        if (hitSeq != none) {
+            issue(hitBank, hitPos);
+        } else if (headSeq != none) {
+            issue(headBank, 0);
+        } else {
             // No targeted bank is ready: wake when the earliest bank
             // that actually has work frees up.
             if (!wakeupPending_) {
                 Tick earliest = ~Tick(0);
-                for (const auto &r : queue_) {
-                    earliest =
-                        std::min(earliest, banks_[r.bankIdx].readyAt);
-                }
+                forEachBankWithWork([&](unsigned b) {
+                    earliest = std::min(earliest, banks_[b].readyAt);
+                });
                 panic_if(earliest <= now, "bank ready but not found");
                 wakeupPending_ = true;
                 eq_.scheduleAt(earliest, [this] {
@@ -74,24 +111,25 @@ DramChannel::trySchedule()
             }
             return;
         }
-
-        DramRequest req = std::move(*it);
-        queue_.erase(it);
-        issue(req);
     }
 }
 
 void
-DramChannel::issue(DramRequest &req)
+DramChannel::issue(unsigned b, std::size_t pos)
 {
     const Tick now = eq_.now();
-    Bank &bank = banks_[req.bankIdx];
-    const Addr row = map_.rowOf(req.line);
+    Bank &bank = banks_[b];
+    const Pending p = bank.queue[pos];
+    bank.queue.erase(bank.queue.begin() + static_cast<std::ptrdiff_t>(pos));
+    if (bank.queue.empty())
+        hasWork_[b / 64] &= ~(std::uint64_t(1) << (b % 64));
+    --queued_;
+    DramRequest &req = slots_[p.slot];
     const DramTiming &t = map_.timing;
 
     Tick lat;
     const char *outcome;
-    if (bank.rowOpen && bank.openRow == row) {
+    if (bank.rowOpen && bank.openRow == p.row) {
         lat = t.rowHitLatency();
         ++rowHits_;
         outcome = "hit";
@@ -107,7 +145,7 @@ DramChannel::issue(DramRequest &req)
 
     // Open-page policy: leave the row open.
     bank.rowOpen = true;
-    bank.openRow = row;
+    bank.openRow = p.row;
 
     // The burst occupies the shared data bus; back-to-back accesses
     // serialize on it.  With the partial-read extension, short
@@ -121,8 +159,8 @@ DramChannel::issue(DramRequest &req)
 
     DPRINTF(Dram, eq_, "ch%u %s line %llx bank %u row-%s done %llu",
             channel_, req.isWrite ? "write" : "read",
-            static_cast<unsigned long long>(req.line), req.bankIdx,
-            outcome, static_cast<unsigned long long>(done));
+            static_cast<unsigned long long>(req.line), b, outcome,
+            static_cast<unsigned long long>(done));
 
     if (SimObserver *o = simObserver(); o && o->wantTimeline()) {
         o->timeline.complete("dram", req.isWrite ? "write" : "read",
@@ -135,6 +173,7 @@ DramChannel::issue(DramRequest &req)
         eq_.scheduleAt(done,
                        [cb = std::move(req.onDone), done] { cb(done); });
     }
+    freeSlots_.push_back(p.slot);
 }
 
 } // namespace wastesim

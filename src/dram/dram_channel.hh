@@ -6,6 +6,11 @@
  * The scheduler prefers (F)irst-(R)eady requests — those hitting an
  * open row on a free bank — and falls back to the oldest request on a
  * free bank; the shared data bus serializes bursts.
+ *
+ * Pending requests wait in a free-list slot pool and never move until
+ * they issue.  Each bank keeps its own arrival-ordered queue of
+ * {arrival seq, row, slot} entries, and a bitmask marks the banks with
+ * work, so picking a request costs O(banks) rather than O(queue depth).
  */
 
 #ifndef WASTESIM_DRAM_DRAM_CHANNEL_HH
@@ -35,9 +40,6 @@ struct DramRequest
      *  line unless the timing model enables partialReads. */
     unsigned words = wordsPerLine;
     DoneFn onDone; //!< may be empty for writes
-    /** Bank index of @p line, computed once at enqueue so the FR-FCFS
-     *  scans do not re-derive it per candidate per pass. */
-    unsigned bankIdx = 0;
 };
 
 /** Event-driven FR-FCFS DRAM channel model. */
@@ -58,7 +60,7 @@ class DramChannel
     std::uint64_t rowConflicts() const { return rowConflicts_; }
 
     /** Pending queue depth (testing hook / sampler gauge). */
-    std::size_t queued() const { return queue_.size(); }
+    std::size_t queued() const { return queued_; }
 
     /** Deepest the request queue has ever been (whole run). */
     std::size_t queuePeak() const { return queuePeak_; }
@@ -68,26 +70,43 @@ class DramChannel
     const DramMap &map() const { return map_; }
 
   private:
+    /** A pending request as its bank sees it. */
+    struct Pending
+    {
+        std::uint64_t seq; //!< channel-wide arrival order
+        Addr row;
+        std::uint32_t slot; //!< index into slots_
+    };
+
     struct Bank
     {
         bool rowOpen = false;
         Addr openRow = 0;
         Tick readyAt = 0;
+        std::vector<Pending> queue; //!< oldest first
     };
 
     /** Try to issue the best request; reschedule if none ready. */
     void trySchedule();
 
-    /** Issue @p req on its bank starting no earlier than now (the
-     *  completion callback is moved out of @p req). */
-    void issue(DramRequest &req);
+    /** Issue entry @p pos of bank @p b's queue, starting no earlier
+     *  than now, and recycle its slot. */
+    void issue(unsigned b, std::size_t pos);
+
+    /** Call @p f(bank index) for every bank with pending work. */
+    template <typename F>
+    void forEachBankWithWork(F &&f) const;
 
     EventQueue &eq_;
     DramMap map_;
     unsigned channel_;
     std::vector<Bank> banks_;
-    /** Pending requests, oldest first (FR-FCFS ages by position). */
-    std::vector<DramRequest> queue_;
+    /** Bit b of word b / 64 is set while bank b's queue is non-empty. */
+    std::vector<std::uint64_t> hasWork_;
+    std::vector<DramRequest> slots_;
+    std::vector<std::uint32_t> freeSlots_;
+    std::uint64_t nextSeq_ = 0;
+    std::size_t queued_ = 0;
     Tick busReadyAt_ = 0;
     bool wakeupPending_ = false;
 

@@ -20,7 +20,6 @@
 #define WASTESIM_DRAM_MEMORY_CONTROLLER_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "common/types.hh"
@@ -28,6 +27,7 @@
 #include "noc/network.hh"
 #include "profile/mem_profiler.hh"
 #include "protocol/message.hh"
+#include "sim/inline_callback.hh"
 
 namespace wastesim
 {
@@ -46,8 +46,10 @@ constexpr unsigned excl = 8;     //!< MESI: fill grants the E state
 class MemoryController : public MessageHandler
 {
   public:
-    /** Queries whether a word is present (valid) in the home L2. */
-    using PresenceFn = std::function<bool(Addr line, unsigned widx)>;
+    /** Queries whether a word is present (valid) in the home L2.
+     *  A serial run calls it for every word memory returns; its
+     *  capture (a System pointer) stays inline and never allocates. */
+    using PresenceFn = InlineFunction<bool(Addr line, unsigned widx), 16>;
 
     MemoryController(unsigned channel, EventQueue &eq, Network &net,
                      DramChannel &dram, MemProfiler &prof,
