@@ -47,8 +47,8 @@ class MemoryController : public MessageHandler
 {
   public:
     /** Queries whether a word is present (valid) in the home L2.
-     *  A serial run calls it for every word memory returns; its
-     *  capture (a System pointer) stays inline and never allocates. */
+     *  Called for every word memory returns; its capture (a System
+     *  pointer) stays inline and never allocates. */
     using PresenceFn = InlineFunction<bool(Addr line, unsigned widx), 16>;
 
     MemoryController(unsigned channel, EventQueue &eq, Network &net,

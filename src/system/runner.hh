@@ -129,12 +129,6 @@ Sweep runSweep(const std::vector<BenchmarkName> &benches,
 /** All six benchmarks, all nine protocols. */
 Sweep runFullSweep(unsigned scale = 1, SimParams params = SimParams{});
 
-/** Serialize a sweep (text format) for the bench result cache. */
-bool saveSweep(const Sweep &s, const std::string &path);
-
-/** Load a sweep saved by saveSweep(). */
-bool loadSweep(Sweep &s, const std::string &path);
-
 /**
  * The full sweep, cached on disk: the first figure bench of a session
  * pays for the 54 simulations, subsequent ones re-render instantly.

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <queue>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -72,6 +73,42 @@ TEST(EventQueue, RunLimitStops)
     EXPECT_EQ(eq.pending(), 1u);
     EXPECT_TRUE(eq.run());
     EXPECT_TRUE(late);
+}
+
+// A run() that stops at its limit must not leave a later tick half
+// drained: an event scheduled between runs, below that tick, still
+// runs first.
+TEST(EventQueue, ScheduleBetweenLimitedRunsKeepsTimeOrder)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(100, [&] { order.push_back(100); });
+    EXPECT_FALSE(eq.run(50));
+    eq.schedule(10, [&] { order.push_back(60); });
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(order, (std::vector<int>{60, 100}));
+}
+
+// Same-tick events run in key order (when, schedTick, srcTile, seq):
+// an event scheduled while its tick drains lands ahead of a waiting
+// same-tick event from a higher source tile, even though that one was
+// scheduled first.
+TEST(EventQueue, SameTickScheduleDuringDrainOrdersBySourceTile)
+{
+    EventQueue eq;
+    std::string order;
+    eq.setContextTile(7);
+    eq.scheduleAt(10, [&] {
+        order += 'P';
+        // Both keyed to source tile 7; A executes as tile 2.
+        eq.scheduleFor(10, 2, [&] {
+            order += 'A';
+            eq.schedule(0, [&] { order += 'Z'; }); // source tile 2
+        });
+        eq.schedule(0, [&] { order += 'B'; });
+    });
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(order, "PAZB");
 }
 
 TEST(EventQueue, StepExecutesOne)

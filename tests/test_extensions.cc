@@ -1,9 +1,7 @@
 /** Tests for the extension features: partial DRAM reads, the energy
- *  estimator, link-utilization tracking, and sweep serialization. */
+ *  estimator and link-utilization tracking. */
 
 #include <gtest/gtest.h>
-
-#include <cstdio>
 
 #include "profile/energy.hh"
 #include "script_workload.hh"
@@ -187,56 +185,6 @@ TEST(LinkLoad, OnlyAdjacentAndEjectionLinksUsed)
             }
         }
     }
-}
-
-TEST(SweepCache, RoundTrips)
-{
-    Sweep s = runSweep({BenchmarkName::Barnes},
-                       {ProtocolName::MESI, ProtocolName::DBypFull},
-                       1, SimParams::scaled());
-    const std::string path = "test_sweep_roundtrip.cache";
-    ASSERT_TRUE(saveSweep(s, path));
-
-    Sweep loaded;
-    ASSERT_TRUE(loadSweep(loaded, path));
-    std::remove(path.c_str());
-
-    ASSERT_EQ(loaded.benchNames, s.benchNames);
-    ASSERT_EQ(loaded.protoNames, s.protoNames);
-    for (std::size_t b = 0; b < s.results.size(); ++b) {
-        for (std::size_t p = 0; p < s.results[b].size(); ++p) {
-            const RunResult &x = s.results[b][p];
-            const RunResult &y = loaded.results[b][p];
-            EXPECT_EQ(x.protocol, y.protocol);
-            EXPECT_EQ(x.benchmark, y.benchmark);
-            EXPECT_DOUBLE_EQ(x.traffic.total(), y.traffic.total());
-            EXPECT_DOUBLE_EQ(x.l1Waste.total(), y.l1Waste.total());
-            EXPECT_DOUBLE_EQ(x.time.total(), y.time.total());
-            EXPECT_EQ(x.cycles, y.cycles);
-            EXPECT_EQ(x.l1Accesses, y.l1Accesses);
-            EXPECT_EQ(x.maxLinkFlits, y.maxLinkFlits);
-        }
-    }
-}
-
-TEST(SweepCache, RejectsWrongMagic)
-{
-    const std::string path = "test_sweep_badmagic.cache";
-    {
-        std::FILE *f = std::fopen(path.c_str(), "w");
-        ASSERT_NE(f, nullptr);
-        std::fputs("not-a-sweep\n", f);
-        std::fclose(f);
-    }
-    Sweep s;
-    EXPECT_FALSE(loadSweep(s, path));
-    std::remove(path.c_str());
-}
-
-TEST(SweepCache, MissingFileFails)
-{
-    Sweep s;
-    EXPECT_FALSE(loadSweep(s, "definitely_not_here.cache"));
 }
 
 } // namespace wastesim

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "system/runner.hh"
+#include "system/sweep_engine.hh"
 #include "trace/synthetic.hh"
 
 namespace wastesim
@@ -110,32 +111,6 @@ expectSweepsEqual(const Sweep &a, const Sweep &b)
 }
 
 } // namespace
-
-TEST(SweepCache, SaveLoadRoundTrip)
-{
-    const Sweep s = fakeSweep(3.0);
-    TempPath tmp("sweep_roundtrip.cache");
-    ASSERT_TRUE(saveSweep(s, tmp.path()));
-
-    Sweep loaded;
-    ASSERT_TRUE(loadSweep(loaded, tmp.path()));
-    expectSweepsEqual(s, loaded);
-}
-
-TEST(SweepCache, LoadRejectsMissingAndCorrupt)
-{
-    Sweep s;
-    EXPECT_FALSE(loadSweep(s, "no_such_sweep.cache"));
-
-    TempPath tmp("sweep_corrupt.cache");
-    {
-        std::FILE *f = std::fopen(tmp.path().c_str(), "w");
-        ASSERT_NE(f, nullptr);
-        std::fputs("wrong-magic\n1 1\n", f);
-        std::fclose(f);
-    }
-    EXPECT_FALSE(loadSweep(s, tmp.path()));
-}
 
 TEST(SweepCache, CachedFullSweepUsesCacheOnHit)
 {
@@ -246,12 +221,15 @@ TEST(SweepCache, StaleCacheShapeTriggersRecompute)
     EnvVar cache("WASTESIM_CACHE", tmp.path().c_str());
     EnvVar no_cache("WASTESIM_NO_CACHE", nullptr);
 
-    // A valid file whose grid is not the full 9x6 paper grid.
-    Sweep small;
-    small.benchNames = {"LU"};
-    small.protoNames = {"MESI"};
-    small.results.assign(1, std::vector<RunResult>(1));
-    ASSERT_TRUE(saveSweep(small, tmp.path()));
+    // A valid cell cache holding one cell of this configuration, not
+    // the full 9x6 paper grid.
+    const SweepSpec spec = SweepSpec::fullGrid(1, SimParams::scaled());
+    CellCache one;
+    one.put(spec.cellKey(spec.cellAt(0)), fakeSweep(5.0).results[0][0]);
+    ASSERT_TRUE(one.save(tmp.path()));
+    CellCache reloaded;
+    ASSERT_TRUE(reloaded.load(tmp.path()));
+    ASSERT_EQ(reloaded.size(), 1u);
 
     int computed = 0;
     auto compute = [&](unsigned, SimParams) {
