@@ -166,12 +166,12 @@ class CacheArray
     unsigned sets() const { return sets_; }
     unsigned ways() const { return ways_; }
 
-    /** Set index for @p line_addr. */
+    /** Set index for @p line_addr (sets_ is a power of two). */
     unsigned
     setIndex(Addr line_addr) const
     {
         return static_cast<unsigned>(
-            (line_addr / bytesPerLine / indexDiv_) % sets_);
+            (line_addr / bytesPerLine / indexDiv_) & (sets_ - 1));
     }
 
     /** Iterate all valid lines (testing / end-of-run sweeps). */

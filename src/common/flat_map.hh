@@ -3,7 +3,7 @@
  * FlatMap: an open-addressing hash map from Addr-sized keys to small
  * values, used on the profiling hot path.
  *
- * The per-word profilers perform millions of find/insert/erase
+ * The per-word profilers perform millions of find/getOrDefault/erase
  * operations per simulated run; std::unordered_map pays a node
  * allocation per insert and a pointer chase per lookup.  This map
  * stores slots in one flat array (linear probing, backward-shift
@@ -53,34 +53,9 @@ class FlatMap
         return slots_[i].state == Slot::Used ? &slots_[i].val : nullptr;
     }
 
-    bool contains(Addr key) const { return find(key) != nullptr; }
-
-    /**
-     * Insert (key, val) if the key is absent (std::unordered_map
-     * emplace semantics: an existing value is kept).
-     * @return (pointer to the resident value, true iff inserted)
-     */
-    std::pair<V *, bool>
-    emplace(Addr key, V val)
-    {
-        if (size_ + 1 > (slots_.size() * 7) / 10)
-            rehash(slots_.size() * 2);
-        const std::size_t i = probe(key);
-        if (slots_[i].state == Slot::Used)
-            return {&slots_[i].val, false};
-        slots_[i].key = key;
-        slots_[i].val = std::move(val);
-        slots_[i].state = Slot::Used;
-        ++size_;
-        return {&slots_[i].val, true};
-    }
-
-    /** emplace() without the inserted flag. */
-    V *insert(Addr key, V val) { return emplace(key, std::move(val)).first; }
-
     /**
      * Value for @p key, default-constructing it on first use (the
-     * default V is only built on a miss, unlike insert()).
+     * default V is only built on a miss).
      */
     V &
     getOrDefault(Addr key)
@@ -97,22 +72,6 @@ class FlatMap
         return slots_[i].val;
     }
 
-    /**
-     * Remove @p key, moving its value into @p out when present —
-     * a find+erase pair with a single probe.
-     * @return true when the key was present.
-     */
-    bool
-    take(Addr key, V &out)
-    {
-        const std::size_t i = probe(key);
-        if (slots_[i].state != Slot::Used)
-            return false;
-        out = std::move(slots_[i].val);
-        eraseSlot(i);
-        return true;
-    }
-
     /** Remove @p key if present. @return true when removed. */
     bool
     erase(Addr key)
@@ -122,14 +81,6 @@ class FlatMap
             return false;
         eraseSlot(i);
         return true;
-    }
-
-    void
-    clear()
-    {
-        for (auto &s : slots_)
-            s.state = Slot::Empty;
-        size_ = 0;
     }
 
   private:

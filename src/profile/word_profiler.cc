@@ -57,12 +57,7 @@ WordProfiler::arriveReplace(Addr word_num, TrafficClass cls)
 void
 WordProfiler::writeKill(Addr word_num)
 {
-    LineSlot *ls = present_.find(lineKey(word_num));
-    const unsigned w = widx(word_num);
-    if (!ls || !(ls->mask & (1u << w)))
-        return;
-    classify(ls->inst[w], WasteCat::Write);
-    ls->mask &= static_cast<std::uint16_t>(~(1u << w));
+    leave(word_num, WasteCat::Write);
 }
 
 void
@@ -90,25 +85,28 @@ WordProfiler::overwrite(Addr word_num)
 void
 WordProfiler::evict(Addr word_num)
 {
-    LineSlot *ls = present_.find(lineKey(word_num));
-    const unsigned w = widx(word_num);
-    if (!ls || !(ls->mask & (1u << w)))
-        return;
-    classify(ls->inst[w], WasteCat::Evict);
-    ls->mask &= static_cast<std::uint16_t>(~(1u << w));
+    leave(word_num, WasteCat::Evict);
 }
 
 void
 WordProfiler::invalidate(Addr word_num)
 {
-    LineSlot *ls = present_.find(lineKey(word_num));
+    leave(word_num,
+          level_ == Level::L1 ? WasteCat::Invalidate : WasteCat::Evict);
+}
+
+void
+WordProfiler::leave(Addr word_num, WasteCat cat)
+{
+    const Addr key = lineKey(word_num);
+    LineSlot *ls = present_.find(key);
     const unsigned w = widx(word_num);
     if (!ls || !(ls->mask & (1u << w)))
         return;
-    classify(ls->inst[w], level_ == Level::L1
-                                     ? WasteCat::Invalidate
-                                     : WasteCat::Evict);
+    classify(ls->inst[w], cat);
     ls->mask &= static_cast<std::uint16_t>(~(1u << w));
+    if (ls->mask == 0)
+        present_.erase(key);
 }
 
 WasteCounts

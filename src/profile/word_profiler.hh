@@ -173,12 +173,21 @@ class WordProfiler
      * untracked).  Grouping by line means a fill/evict/load burst
      * over a line costs one hash probe, not sixteen, and the 32-bit
      * InstId keeps a LineSlot at two cache lines.
+     *
+     * Only lines with a present word have a slot: the slot is erased
+     * when its mask reaches 0, and an absent slot means mask 0.  The
+     * map therefore holds about as many lines as the cache does.
      */
     struct LineSlot
     {
         std::uint16_t mask = 0;
         std::array<InstId, wordsPerLine> inst;
     };
+
+    /** A present word leaves the cache: classify its open record as
+     *  @p cat and clear its present bit, erasing the line's slot once
+     *  no word of the line is present. */
+    void leave(Addr word_num, WasteCat cat);
 
     /** Classify record @p id as @p cat if still open. */
     void

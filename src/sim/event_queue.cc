@@ -116,17 +116,24 @@ EventQueue::openDrain(std::uint32_t slot, Tick when)
 {
     Bucket &b = wheel_[slot];
     drainVec_.clear();
+    bool sorted = true;
     for (std::uint32_t idx = b.head; idx != nil;) {
         const Entry &e = pool_[idx];
-        drainVec_.push_back(DrainRef{e.schedTick, e.seq, idx, e.src});
+        const DrainRef r{e.schedTick, e.seq, idx, e.src};
+        if (!drainVec_.empty() && r < drainVec_.back())
+            sorted = false;
+        drainVec_.push_back(r);
         --wheelPending_;
         idx = e.next;
     }
     b.head = b.tail = nil;
     occupied_[slot >> 6] &= ~(std::uint64_t(1) << (slot & 63));
-    // Chains arrive nearly sorted (schedTick is monotone per queue);
-    // keys are unique so an unstable sort is deterministic.
-    std::sort(drainVec_.begin(), drainVec_.end());
+    // Chains arrive in FIFO order, which is key order unless a later
+    // schedule came from a lower source tile at the same schedTick;
+    // only then is a sort needed.  Keys are unique, so an unstable
+    // sort is deterministic.
+    if (!sorted)
+        std::sort(drainVec_.begin(), drainVec_.end());
     drainActive_ = true;
     drainTick_ = when;
     drainPos_ = 0;

@@ -22,9 +22,13 @@
  *
  *  - a timing wheel of `wheelSize` one-tick buckets covering
  *    [now, now + wheelSize): each bucket is a FIFO chain of entries
- *    for exactly one tick, sorted by key once when the tick becomes
- *    current (chains arrive nearly sorted: schedTick is monotone per
- *    queue, so the sort is cheap);
+ *    for exactly one tick.  When the tick becomes current its chain
+ *    is copied into a drain vector, which is sorted by key only if
+ *    the copy found an entry out of key order.  FIFO order is key
+ *    order except where one schedTick's events came from source
+ *    tiles in descending order, since schedTick and seq only grow.
+ *    Same-tick schedules made during the drain are inserted at
+ *    their key position, so the drain vector stays sorted;
  *
  *  - an overflow binary min-heap on the full key for events beyond
  *    the horizon.  Every overflow entry for a tick was scheduled
@@ -210,7 +214,8 @@ class EventQueue
      *  @return nil when the wheel holds nothing. */
     std::uint32_t firstOccupiedSlot() const;
 
-    /** Pull bucket @p slot's chain into drainVec_, sorted by key. */
+    /** Pull bucket @p slot's chain into drainVec_, in key order
+     *  (sorting only a chain that arrived out of order). */
     void openDrain(std::uint32_t slot, Tick when);
 
     /** Execute the arena record @p idx (stamps now_ and the tile). */

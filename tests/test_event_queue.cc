@@ -111,6 +111,27 @@ TEST(EventQueue, SameTickScheduleDuringDrainOrdersBySourceTile)
     EXPECT_EQ(order, "PAZB");
 }
 
+// A tick's chain is kept in scheduling order, which is not key order
+// when one scheduling tick's events come from descending source
+// tiles: the drain must still run them by ascending tile.
+TEST(EventQueue, SameSchedTickChainRunsInSourceTileOrder)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    for (std::uint16_t tile : {9, 5, 7, 1}) {
+        eq.setContextTile(tile);
+        eq.scheduleAt(10, [&order, tile] { order.push_back(tile); });
+    }
+    // A later scheduling tick sorts after every earlier one, whatever
+    // its tile.
+    eq.setContextTile(0);
+    eq.scheduleAt(3, [&] {
+        eq.scheduleAt(10, [&] { order.push_back(100); });
+    });
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(order, (std::vector<int>{1, 5, 7, 9, 100}));
+}
+
 TEST(EventQueue, StepExecutesOne)
 {
     EventQueue eq;
