@@ -2,9 +2,9 @@
  * @file
  * Minimal JSON document model and recursive-descent parser.
  *
- * The observability layer consumes three JSON dialects it did not
- * necessarily write itself: sampler time series, Chrome trace-event
- * files and the BENCH_*.json benchmark records.  This parser accepts
+ * The observability layer reads back JSON it did not necessarily
+ * write itself: sampler time series (`report timeline`) and, in the
+ * tests, Chrome trace-event files.  This parser accepts
  * any RFC 8259 document into a small ordered value tree; it is a
  * reader for tooling paths (reports, tests), never for the hot path.
  */

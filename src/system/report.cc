@@ -581,54 +581,4 @@ buildReportByName(const std::string &name, const Sweep &s,
     return false;
 }
 
-// --- legacy text renderers --------------------------------------------------
-
-std::string
-renderFig51a(const Sweep &s)
-{
-    return renderFigure(buildFig51a(s));
-}
-
-std::string
-renderFig51b(const Sweep &s)
-{
-    return renderFigure(buildFig51b(s));
-}
-
-std::string
-renderFig51c(const Sweep &s)
-{
-    return renderFigure(buildFig51c(s));
-}
-
-std::string
-renderFig51d(const Sweep &s)
-{
-    return renderFigure(buildFig51d(s));
-}
-
-std::string
-renderFig52(const Sweep &s)
-{
-    return renderFigure(buildFig52(s));
-}
-
-std::string
-renderFig53(const Sweep &s, WasteLevel level)
-{
-    return renderFigure(buildFig53(s, level));
-}
-
-std::string
-renderOverheadComposition(const Sweep &s)
-{
-    return renderFigure(buildOverheadComposition(s));
-}
-
-std::string
-renderHeadline(const Sweep &s)
-{
-    return renderFigure(buildHeadline(s));
-}
-
 } // namespace wastesim

@@ -4,12 +4,9 @@
  * structured Figure (metrics/figure.hh) from sweep results, plus the
  * extension reports (energy, MC-placement study).  All bars are
  * normalized to MESI (the first protocol of a sweep), exactly as in
- * Figures 5.1-5.3.
- *
- * The legacy render* functions are thin wrappers: build the Figure,
- * render it as a text table.  Their output is byte-identical to the
- * historical hand-rolled renderers; the Figure builders additionally
- * feed the JSON/CSV emitters and the `wastesim report` subcommand.
+ * Figures 5.1-5.3.  Render one with renderFigure() (table, JSON or
+ * CSV); `wastesim report` reaches them by name through
+ * buildReportByName().
  */
 
 #ifndef WASTESIM_SYSTEM_REPORT_HH
@@ -94,23 +91,6 @@ bool buildReportByName(const std::string &name, const Sweep &s,
 
 /** All single-sweep report names, in usage/figure order. */
 const std::vector<std::string> &reportNames();
-
-// --- legacy text renderers (byte-identical wrappers) ------------------------
-
-std::string renderFig51a(const Sweep &s);
-std::string renderFig51b(const Sweep &s);
-std::string renderFig51c(const Sweep &s);
-std::string renderFig51d(const Sweep &s);
-std::string renderFig52(const Sweep &s);
-std::string renderFig53(const Sweep &s, WasteLevel level);
-std::string renderOverheadComposition(const Sweep &s);
-
-/**
- * Headline averages (abstract / Section 5.1): traffic and execution
- * time reductions of DBypFull vs. MESI / MMemL1 / DFlexL1, residual
- * waste fraction, etc.  Requires a sweep containing those protocols.
- */
-std::string renderHeadline(const Sweep &s);
 
 } // namespace wastesim
 

@@ -1,20 +1,14 @@
 /**
  * @file
- * Observability report builders: the sampler time-series figure and
- * the benchmark-regression figure, both rendered through the Figure
- * IR so `wastesim report timeline|bench` share the table/JSON/CSV
- * emitters with the paper figures.
+ * Observability report builder: the sampler time-series figure,
+ * rendered through the Figure IR so `wastesim report timeline` shares
+ * the table/JSON/CSV emitters with the paper figures.
  */
 
 #ifndef WASTESIM_SYSTEM_REPORT_OBS_HH
 #define WASTESIM_SYSTEM_REPORT_OBS_HH
 
-#include <string>
-#include <utility>
-#include <vector>
-
 #include "metrics/figure.hh"
-#include "obs/jsonv.hh"
 #include "obs/sampler.hh"
 
 namespace wastesim
@@ -25,26 +19,6 @@ namespace wastesim
  * (index, start, end), one value column per registered series.
  */
 Figure buildTimelineFigure(const SampleData &d);
-
-/**
- * Every labeled events_per_sec rate found anywhere in @p doc (a
- * BENCH_*.json document).  An object is a sample when it carries a
- * numeric "events_per_sec"; its label joins the protocol / benchmark
- * / mesh string members, falling back to the object's key chain.
- * A label occurring twice keeps the LAST occurrence, so before/after
- * documents resolve to the "after" rates.
- */
-std::vector<std::pair<std::string, double>>
-extractBenchRates(const JsonValue &doc);
-
-/**
- * Throughput comparison of @p current against optional @p baseline
- * (null for a plain listing).  @p regressed is set when any shared
- * label's current/baseline ratio drops below 1 - @p tolerance.
- */
-Figure buildBenchFigure(const JsonValue &current,
-                        const JsonValue *baseline, double tolerance,
-                        bool &regressed);
 
 } // namespace wastesim
 

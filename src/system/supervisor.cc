@@ -340,8 +340,6 @@ SweepSupervisor::run(CellCache &cache)
                          std::vector<RunResult>(num_protos));
         s.holes.assign(num_benches,
                        std::vector<std::string>(num_protos));
-        s.configTag = sweepConfigTag(
-            spec_.scale, spec_.paramsFor(static_cast<unsigned>(t)));
     }
 
     const bool want_timeline = !cfg_.timelinePath.empty();

@@ -491,8 +491,6 @@ SweepEngine::run(CellCache &cache)
                          std::vector<RunResult>(num_protos));
         s.holes.assign(num_benches,
                        std::vector<std::string>(num_protos));
-        s.configTag = sweepConfigTag(
-            spec_.scale, spec_.paramsFor(static_cast<unsigned>(t)));
     }
 
     // Wall-clock observation (lifecycle timeline + progress monitor).

@@ -61,9 +61,9 @@ struct RunResult
 
     /** Kernel events executed over the WHOLE run, warmup included —
      *  deliberately not an epoch delta like the stats above, because
-     *  bench_kernel divides it by wall time, which also covers
-     *  warmup.  Not figure data; not serialized into the sweep
-     *  cache. */
+     *  perfbench's driver divides it by the run's host time
+     *  (`sim.ns_per_event`), which also covers warmup.  Not figure
+     *  data; not serialized into the sweep cache. */
     std::uint64_t eventsExecuted = 0;
 
     /** One DRAM channel's demand-side statistics (reads/writes are

@@ -53,7 +53,6 @@
 #include "fuzz/campaign.hh"
 #include "metrics/run_result_schema.hh"
 #include "obs/debug.hh"
-#include "obs/jsonv.hh"
 #include "obs/observer.hh"
 #include "obs/sampler.hh"
 #include "system/report.hh"
@@ -129,8 +128,7 @@ usage(const char *prog)
         "          [--mc-tiles T,T,...] [--scale N] [--cache FILE]\n"
         "          [--jobs N] [--compute-missing]\n"
         "          [--retry-quarantined] [--schema]\n"
-        "          [--full-size] [--in FILE] [--baseline FILE]\n"
-        "          [--tolerance F]\n"
+        "          [--full-size] [--in FILE]\n"
         "          render figures from a sweep cache without\n"
         "          re-simulating (all sweep reports, plus\n"
         "          `placement`: the curated MC-placement study of\n"
@@ -138,11 +136,9 @@ usage(const char *prog)
         "          fingerprint; --compute-missing simulates cache\n"
         "          holes instead of failing; `timeline` renders a\n"
         "          sampler JSON (--in) as a windowed time series;\n"
-        "          `bench` renders a BENCH_*.json (--in) and exits 1\n"
-        "          when any rate falls more than --tolerance (0.25)\n"
-        "          below --baseline; quarantined cells render as\n"
-        "          annotated holes — --retry-quarantined recomputes\n"
-        "          them with --compute-missing instead)\n"
+        "          quarantined cells render as annotated holes —\n"
+        "          --retry-quarantined recomputes them with\n"
+        "          --compute-missing instead)\n"
         "  merge   [--skip-bad] --out FILE CACHE...\n"
         "          combine partial sweep caches (from --shard runs)\n"
         "          into one; the result is byte-identical to an\n"
@@ -819,6 +815,28 @@ cmdSynth(Args args)
 }
 
 /**
+ * Fail on any --report name that @p cmd cannot render, before any
+ * cache is read or cell simulated: reportNames() plus @p extra, the
+ * names only @p cmd accepts.  The error lists the valid names.
+ */
+void
+checkReportNames(const char *cmd, const std::vector<std::string> &reports,
+                 const std::vector<std::string> &extra = {})
+{
+    std::vector<std::string> valid = reportNames();
+    valid.insert(valid.end(), extra.begin(), extra.end());
+    for (const std::string &r : reports) {
+        if (std::find(valid.begin(), valid.end(), r) != valid.end())
+            continue;
+        std::string list;
+        for (const std::string &v : valid)
+            list += (list.empty() ? "" : ", ") + v;
+        fatal("%s: unknown report '%s' (valid: %s)", cmd, r.c_str(),
+              list.c_str());
+    }
+}
+
+/**
  * Build and render one named report of @p s, which ran on @p topo
  * (fatal on unknown names).  @p context qualifies multi-mesh output
  * in the structured formats.
@@ -1099,6 +1117,7 @@ cmdSweep(Args args)
         } else
             fatal("sweep: unknown option '%s'", a.c_str());
     }
+    checkReportNames("sweep", reports);
     FaultSpec faults;
     if (!faultSpecStr.empty()) {
         std::string fault_err;
@@ -1259,8 +1278,7 @@ cmdReport(Args args)
     std::vector<std::string> reports;
     TopoArgs topo;
     std::string meshListSpec, cachePath;
-    std::string inPath, baselinePath;
-    double tolerance = 0.25;
+    std::string inPath;
     ReportFormat fmt = ReportFormat::Table;
     bool schema = false, compute_missing = false;
     bool retry_quarantined = false;
@@ -1298,21 +1316,11 @@ cmdReport(Args args)
             retry_quarantined = true;
         else if (a == "--in")
             inPath = args.value(a);
-        else if (a == "--baseline")
-            baselinePath = args.value(a);
-        else if (a == "--tolerance") {
-            const std::string v = args.value(a);
-            char *end = nullptr;
-            tolerance = std::strtod(v.c_str(), &end);
-            fatal_if(end != v.c_str() + v.size() || tolerance < 0 ||
-                         tolerance >= 1,
-                     "report: --tolerance needs a fraction in "
-                     "[0, 1), got '%s'",
-                     v.c_str());
-        } else if (obs.tryParse(a, args)) {
+        else if (obs.tryParse(a, args)) {
         } else
             fatal("report: unknown option '%s'", a.c_str());
     }
+    checkReportNames("report", reports, {"placement", "timeline"});
     obs.apply("report");
 
     if (schema) {
@@ -1333,28 +1341,22 @@ cmdReport(Args args)
         logVerbosity = 0;
     topo.apply(params);
 
-    // The placement study is a multi-sweep report, and the
-    // observability reports (timeline, bench) render from --in files
-    // instead of the sweep cache; everything else renders from one
-    // grid per mesh.
-    bool placement = false, want_timeline = false, want_bench = false;
+    // The placement study is a multi-sweep report, and the timeline
+    // renders from an --in file instead of the sweep cache;
+    // everything else renders from one grid per mesh.
+    bool placement = false, want_timeline = false;
     std::vector<std::string> single;
     for (const std::string &r : reports) {
         if (r == "placement")
             placement = true;
         else if (r == "timeline")
             want_timeline = true;
-        else if (r == "bench")
-            want_bench = true;
         else
             single.push_back(r);
     }
-    fatal_if((want_timeline || want_bench) && inPath.empty(),
-             "report: the %s report reads a JSON file; pass --in FILE",
-             want_timeline ? "timeline" : "bench");
-    fatal_if(want_timeline && want_bench,
-             "report: timeline and bench read different --in formats; "
-             "request them in separate invocations");
+    fatal_if(want_timeline && inPath.empty(),
+             "report: the timeline report reads a sampler JSON file; "
+             "pass --in FILE");
 
     const std::string path = resolveCachePath(cachePath);
     // WASTESIM_NO_CACHE means the same as for `sweep`: neither serve
@@ -1445,8 +1447,6 @@ cmdReport(Args args)
         texts.push_back(std::move(text));
     }
 
-    int rc = 0;
-
     if (want_timeline) {
         const std::string text = readTextFile("report", inPath);
         SampleData data;
@@ -1462,41 +1462,8 @@ cmdReport(Args args)
         texts.push_back(std::move(rendered));
     }
 
-    if (want_bench) {
-        JsonValue current;
-        std::string err;
-        fatal_if(!jsonParse(readTextFile("report", inPath), current,
-                            &err),
-                 "report: cannot parse '%s': %s", inPath.c_str(),
-                 err.c_str());
-        JsonValue baseline;
-        const bool have_base = !baselinePath.empty();
-        if (have_base)
-            fatal_if(!jsonParse(readTextFile("report", baselinePath),
-                                baseline, &err),
-                     "report: cannot parse '%s': %s",
-                     baselinePath.c_str(), err.c_str());
-        bool regressed = false;
-        Figure f = buildBenchFigure(
-            current, have_base ? &baseline : nullptr, tolerance,
-            regressed);
-        f.context = inPath;
-        std::string rendered = renderFigure(f, fmt);
-        if (fmt == ReportFormat::Table)
-            rendered += "\n";
-        texts.push_back(std::move(rendered));
-        if (regressed) {
-            std::fprintf(stderr,
-                         "report: bench regression: at least one "
-                         "rate fell more than %.0f%% below the "
-                         "baseline\n",
-                         tolerance * 100.0);
-            rc = 1;
-        }
-    }
-
     emitFigureTexts(texts, fmt);
-    return rc;
+    return 0;
 }
 
 int

@@ -402,46 +402,4 @@ TEST(Observer, SamplerOutputIsDeterministicAcrossJobs)
         EXPECT_EQ(serial[i], parallel[i]) << "cell " << i;
 }
 
-TEST(BenchReport, ExtractsLabeledRatesAndFlagsRegressions)
-{
-    const char *currentDoc =
-        "{\"kernel\": [{\"protocol\": \"MESI\", \"benchmark\": \"LU\","
-        " \"events_per_sec\": 60.0},"
-        " {\"protocol\": \"MESI\", \"benchmark\": \"FFT\","
-        " \"events_per_sec\": 200.0}],"
-        " \"before\": {\"micro\": {\"events_per_sec\": 10.0}},"
-        " \"after\": {\"micro\": {\"events_per_sec\": 30.0}}}";
-    const char *baselineDoc =
-        "{\"kernel\": [{\"protocol\": \"MESI\", \"benchmark\": \"LU\","
-        " \"events_per_sec\": 100.0},"
-        " {\"protocol\": \"MESI\", \"benchmark\": \"FFT\","
-        " \"events_per_sec\": 210.0}]}";
-
-    JsonValue current, baseline;
-    ASSERT_TRUE(jsonParse(currentDoc, current));
-    ASSERT_TRUE(jsonParse(baselineDoc, baseline));
-
-    const auto rates = extractBenchRates(current);
-    ASSERT_EQ(rates.size(), 4u);
-    EXPECT_EQ(rates[0].first, "MESI/LU");
-    EXPECT_EQ(rates[2].first, "before.micro"); // key-chain fallback
-
-    // LU dropped to 0.6x: beyond a 0.25 tolerance, within 0.5.
-    bool regressed = false;
-    Figure f = buildBenchFigure(current, &baseline, 0.25, regressed);
-    EXPECT_TRUE(regressed);
-    ASSERT_EQ(f.tables.size(), 1u);
-    EXPECT_EQ(f.tables[0].rows.size(), 4u);
-
-    regressed = true;
-    buildBenchFigure(current, &baseline, 0.5, regressed);
-    EXPECT_FALSE(regressed);
-
-    // Without a baseline there is nothing to regress against.
-    regressed = true;
-    Figure plain = buildBenchFigure(current, nullptr, 0.25, regressed);
-    EXPECT_FALSE(regressed);
-    EXPECT_EQ(plain.tables[0].valueCols.size(), 1u);
-}
-
 } // namespace wastesim

@@ -78,11 +78,20 @@ syntheticSweep()
     return s;
 }
 
+/** Report @p name of @p s as a text table. */
+std::string
+render(const std::string &name, const Sweep &s)
+{
+    Figure f;
+    EXPECT_TRUE(buildReportByName(name, s, Topology{}, f)) << name;
+    return renderFigure(f);
+}
+
 } // namespace
 
 TEST(Report, Fig51aNormalizesToMesiTotal)
 {
-    const std::string out = renderFig51a(syntheticSweep());
+    const std::string out = render("fig5.1a", syntheticSweep());
     // MESI row: LD 50%, ST 25%, WB 12.5%, OH 12.5%, total 100%.
     EXPECT_NE(out.find("50.0%"), std::string::npos);
     EXPECT_NE(out.find("25.0%"), std::string::npos);
@@ -94,7 +103,7 @@ TEST(Report, Fig51aNormalizesToMesiTotal)
 
 TEST(Report, Fig51bNormalizesToMesiLoad)
 {
-    const std::string out = renderFig51b(syntheticSweep());
+    const std::string out = render("fig5.1b", syntheticSweep());
     // MESI load: req 10%, L1 used 60%, L1 waste 30% of LD=100.
     EXPECT_NE(out.find("10.0%"), std::string::npos);
     EXPECT_NE(out.find("60.0%"), std::string::npos);
@@ -103,7 +112,7 @@ TEST(Report, Fig51bNormalizesToMesiLoad)
 
 TEST(Report, Fig52ShowsTimeCategories)
 {
-    const std::string out = renderFig52(syntheticSweep());
+    const std::string out = render("fig5.2", syntheticSweep());
     EXPECT_NE(out.find("Compute"), std::string::npos);
     EXPECT_NE(out.find("Sync"), std::string::npos);
     // MESI: busy 10%, mem 90%; DBypFull total 50%.
@@ -113,10 +122,8 @@ TEST(Report, Fig52ShowsTimeCategories)
 
 TEST(Report, Fig53MemoryIncludesExcessColumn)
 {
-    const std::string l1 = renderFig53(syntheticSweep(),
-                                       WasteLevel::L1);
-    const std::string mem = renderFig53(syntheticSweep(),
-                                        WasteLevel::Memory);
+    const std::string l1 = render("fig5.3a", syntheticSweep());
+    const std::string mem = render("fig5.3c", syntheticSweep());
     EXPECT_EQ(l1.find("Excess"), std::string::npos);
     EXPECT_NE(mem.find("Excess"), std::string::npos);
 }
@@ -125,7 +132,7 @@ TEST(Report, OverheadHandlesZeroOverhead)
 {
     Sweep s = syntheticSweep();
     s.results[0][1].traffic.ohUnblock = 0;
-    const std::string out = renderOverheadComposition(s);
+    const std::string out = render("overhead", s);
     EXPECT_NE(out.find("-"), std::string::npos); // placeholder cells
 }
 
@@ -135,13 +142,13 @@ TEST(Report, HeadlineNeedsKeyProtocols)
     s.benchNames = {"toy"};
     s.protoNames = {"OnlyOne"};
     s.results = {{RunResult{}}};
-    const std::string out = renderHeadline(s);
+    const std::string out = render("headline", s);
     EXPECT_NE(out.find("lacks"), std::string::npos);
 }
 
 TEST(Report, HeadlineComputesReductions)
 {
-    const std::string out = renderHeadline(syntheticSweep());
+    const std::string out = render("headline", syntheticSweep());
     // 100 vs 200 flit-hops: 50% reduction.
     EXPECT_NE(out.find("50.0%"), std::string::npos);
     EXPECT_NE(out.find("39.5%"), std::string::npos); // paper column
@@ -152,7 +159,7 @@ TEST(Report, EmptyBaselineDoesNotDivideByZero)
     Sweep s = syntheticSweep();
     s.results[0][0].traffic = TrafficStats{}; // zero MESI traffic
     // Must not crash; all entries become 0%.
-    const std::string out = renderFig51a(s);
+    const std::string out = render("fig5.1a", s);
     EXPECT_FALSE(out.empty());
 }
 
@@ -196,21 +203,6 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return n;
     });
-
-TEST(ReportGoldenWrappers, LegacyRenderersMatchSnapshots)
-{
-    const Sweep &s = goldenSweep();
-    EXPECT_EQ(renderFig51a(s),
-              fileBytes(goldenPath("reports/fig5_1a.txt")));
-    EXPECT_EQ(renderFig52(s),
-              fileBytes(goldenPath("reports/fig5_2.txt")));
-    EXPECT_EQ(renderFig53(s, WasteLevel::Memory),
-              fileBytes(goldenPath("reports/fig5_3c.txt")));
-    EXPECT_EQ(renderOverheadComposition(s),
-              fileBytes(goldenPath("reports/overhead.txt")));
-    EXPECT_EQ(renderHeadline(s),
-              fileBytes(goldenPath("reports/headline.txt")));
-}
 
 // --- structured emitters ----------------------------------------------------
 

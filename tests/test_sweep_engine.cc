@@ -99,6 +99,11 @@ TEST(SweepSpec, CellKeysDistinguishEveryAxis)
     SweepSpec full = spec;
     full.params = SimParams{};
     EXPECT_NE(base, full.cellKey({0, 0, 0}));
+
+    // Same 2x2 mesh, a different MC placement.
+    SweepSpec mc2 = spec;
+    mc2.topologies[0] = Topology(2, 2, 2);
+    EXPECT_NE(base, mc2.cellKey({0, 0, 0}));
 }
 
 TEST(CellCache, SaveLoadRoundTrip)

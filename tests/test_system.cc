@@ -108,18 +108,17 @@ TEST(System, ReportsRenderWithoutCrashing)
                        {ProtocolName::MESI, ProtocolName::MMemL1,
                         ProtocolName::DFlexL1, ProtocolName::DBypFull},
                        1, SimParams::scaled());
-    for (const std::string &out :
-         {renderFig51a(s), renderFig51b(s), renderFig51c(s),
-          renderFig51d(s), renderFig52(s),
-          renderFig53(s, WasteLevel::L1),
-          renderFig53(s, WasteLevel::L2),
-          renderFig53(s, WasteLevel::Memory),
-          renderOverheadComposition(s), renderHeadline(s)}) {
-        EXPECT_FALSE(out.empty());
-    }
+    const auto render = [&s](const char *name) {
+        Figure f;
+        EXPECT_TRUE(buildReportByName(name, s, Topology{}, f)) << name;
+        return renderFigure(f);
+    };
+    for (const char *name :
+         {"fig5.1a", "fig5.1b", "fig5.1c", "fig5.1d", "fig5.2",
+          "fig5.3a", "fig5.3b", "fig5.3c", "overhead", "headline"})
+        EXPECT_FALSE(render(name).empty()) << name;
     // MESI normalizes to 100% of itself.
-    const std::string fig = renderFig51a(s);
-    EXPECT_NE(fig.find("100.0%"), std::string::npos);
+    EXPECT_NE(render("fig5.1a").find("100.0%"), std::string::npos);
 }
 
 TEST(System, DeadlockIsDetectedNotHung)
