@@ -15,7 +15,7 @@ main()
     std::printf("%s\n", paper.describe().c_str());
 
     std::printf("Scaled sweep configuration (ratios preserved; see "
-                "DESIGN.md):\n\n");
+                "SimParams::scaled() in src/system/config.hh):\n\n");
     std::printf("%s\n", SimParams::scaled().describe().c_str());
     return 0;
 }

@@ -71,8 +71,7 @@ const std::vector<DerivedMetric> &runResultDerivedMetrics();
 
 /**
  * Cell-block format version of the current sweep caches
- * (wastesim-cells-v1 and the legacy wastesim-sweep-v3 container both
- * carry version-1 blocks).
+ * (wastesim-cells-v2 caches carry version-1 blocks).
  */
 constexpr unsigned runResultBlockVersion = 1;
 

@@ -74,7 +74,7 @@ void
 drainHandler(int)
 {
     if (g_drainRequests < 127)
-        ++g_drainRequests;
+        g_drainRequests = g_drainRequests + 1;
 }
 
 } // namespace

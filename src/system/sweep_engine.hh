@@ -31,7 +31,7 @@
  *  - **Integrity**: the v2 cache format carries a CRC-32 and byte
  *    length per cell block, so a corrupt or truncated cell is
  *    detected at load (and either reported or salvaged around) rather
- *    than silently served; v1 caches remain readable.  Poisoned cells
+ *    than silently served.  Poisoned cells
  *    — ones the supervisor gave up on — are recorded as quarantine
  *    entries with their failure reason, so reports can render them as
  *    annotated holes instead of erroring or re-running known-bad
@@ -141,7 +141,8 @@ struct CacheLoadReport
  *
  * Format v2 ("wastesim-cells-v2") prefixes every cell block with its
  * byte length and CRC-32, and appends quarantine records after the
- * result cells; v1 files load transparently, saves always write v2.
+ * result cells.  Only v2 is read: any other magic (v1 included) fails
+ * the load as unrecognized.
  */
 class CellCache
 {
@@ -220,8 +221,6 @@ class CellCache
     }
 
   private:
-    bool loadV1(std::istream &is, CacheLoadReport &rep,
-                CacheLoadMode mode);
     bool loadV2(std::istream &is, CacheLoadReport &rep,
                 CacheLoadMode mode);
 

@@ -2,50 +2,25 @@
  * @file
  * `wastesim` — the command-line front end to the simulator.
  *
- *   wastesim record  --bench NAME [--scale N] --out FILE
- *       build a Table-4.2 benchmark and serialize it as a trace file
- *   wastesim replay  --trace FILE [--protocol P ...]
- *       replay a trace through protocol variants and print results
- *   wastesim synth   [--preset NAME | --seed N --pattern P ...]
- *       generate a synthetic scenario; run it, or save it as a trace
- *   wastesim sweep   [--scale N] [--report NAME ...]
- *       run the full 9-protocol grid (per-cell disk cache) over one
- *       mesh or a --mesh-list, optionally as one shard of N processes
- *   wastesim report  [--report NAME ...] [--format table|json|csv]
- *       render any figure straight from a sweep cache, without
- *       re-simulating; includes the MC placement study and the
- *       metric-schema dump (--schema)
- *   wastesim merge   --out FILE CACHE...
- *       combine partial (sharded) sweep caches into one
- *   wastesim cell    --bench B --protocol P --out FILE ...
- *       compute one sweep cell and write a checksummed result file
- *       (the worker half of `sweep --supervise`)
- *   wastesim fuzz    [--seed N] [--runs N] [--time-budget SEC]
- *       [--minimize] [--corpus DIR] ...
- *       seeded scenario fuzzing under the runtime invariant checker;
- *       each scenario runs in a crash-isolated worker process
- *   wastesim fuzzone --scenario LINE --out FILE ...
- *       check one encoded scenario and write a checksummed verdict
- *       (the worker half of `fuzz`)
- *   wastesim info    --trace FILE
- *       print a trace file's header, regions and op counts
- *
- * Run `wastesim help` for the full option list.  All simulations use
- * the scaled Table-4.1 hierarchy (SimParams::scaled()) unless
- * --full-size is given.
+ * Every subcommand is one row of `commands` (end of this file): its
+ * name, a summary, a flag table and its action.  A flag's spelling,
+ * value type, bound and help text live only in its table row; the
+ * parser and `wastesim help` both read the tables.
  */
 
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
+#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <functional>
 #include <limits>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/log.hh"
@@ -69,204 +44,502 @@ using namespace wastesim;
 namespace
 {
 
-int
-usage(const char *prog)
+// --- flag tables ------------------------------------------------------------
+
+/** How a flag's value is parsed, bounded and stored. */
+struct Setter
 {
-    std::fprintf(
-        stderr,
-        "usage: %s <command> [options]\n"
-        "\n"
-        "commands:\n"
-        "  record  --bench NAME [--scale N] [--mesh WxH] [--mcs N]\n"
-        "          [--mc-tiles T,T,...] --out FILE\n"
-        "          serialize a Table-4.2 benchmark to a trace file\n"
-        "  replay  --trace FILE [--protocol P ...] [--mesh WxH]\n"
-        "          [--mcs N] [--mc-tiles T,T,...] [--full-size]\n"
-        "          replay a trace through protocols (default: all 9)\n"
-        "          on the trace's recorded topology (v2 traces;\n"
-        "          topology flags override, and must then match)\n"
-        "  synth   [--preset hotset64|all2all|mc-corner]\n"
-        "          [--seed N] [--pattern stride|random|hotset]\n"
-        "          [--ops N] [--phases N] [--regions N]\n"
-        "          [--region-bytes N] [--private-bytes N]\n"
-        "          [--sharing-degree N] [--read-frac F]\n"
-        "          [--shared-frac F] [--stride W] [--hot-frac F]\n"
-        "          [--hot-prob F] [--work N] [--bypass]\n"
-        "          [--mesh WxH] [--mcs N] [--mc-tiles T,T,...]\n"
-        "          [--out FILE | --protocol P ... | --full-size]\n"
-        "          generate a synthetic scenario; save or simulate it\n"
-        "          (--preset first; later flags refine the preset)\n"
-        "  sweep   [--scale N] [--report NAME ...] [--mesh WxH |\n"
-        "          --mesh-list WxH,WxH,...] [--mcs N]\n"
-        "          [--mc-tiles T,T,...] [--shard I/N] [--cache FILE]\n"
-        "          [--jobs N] [--format table|json|csv] [--full-size]\n"
-        "          [--progress] [--supervise N] [--max-retries N]\n"
-        "          [--retry-backoff-ms N] [--cell-deadline-ms N]\n"
-        "          [--retry-quarantined]\n"
-        "          [--fault-inject crash:P,hang:P,corrupt:P]\n"
-        "          [--fault-seed N]\n"
-        "          full 9-protocol x 6-benchmark grid over every\n"
-        "          listed mesh, against a per-cell disk cache that\n"
-        "          only computes missing cells — finished cells are\n"
-        "          persisted immediately, so a killed run resumes\n"
-        "          (reports: fig5.1a b c d, fig5.2, fig5.3a b c,\n"
-        "          overhead, headline, energy; default: fig5.1a +\n"
-        "          headline; --shard I/N runs the deterministic 1/N\n"
-        "          grid slice and writes a partial cache for `merge`;\n"
-        "          --jobs N sizes the simulation thread pool,\n"
-        "          overriding $WASTESIM_JOBS; --progress prints a\n"
-        "          heartbeat with ETA and flags stalled cells; in a\n"
-        "          sweep --timeline traces wall-clock cell\n"
-        "          lifecycles, not sim time; --supervise N computes\n"
-        "          cells on N crash-isolated worker processes with\n"
-        "          retry/backoff, per-cell deadlines and poison-cell\n"
-        "          quarantine — SIGINT drains gracefully, and\n"
-        "          --fault-inject exercises the failure paths with\n"
-        "          seeded deterministic faults)\n"
-        "  report  [--report NAME ...] [--format table|json|csv]\n"
-        "          [--mesh WxH | --mesh-list ...] [--mcs N]\n"
-        "          [--mc-tiles T,T,...] [--scale N] [--cache FILE]\n"
-        "          [--jobs N] [--compute-missing]\n"
-        "          [--retry-quarantined] [--schema]\n"
-        "          [--full-size] [--in FILE]\n"
-        "          render figures from a sweep cache without\n"
-        "          re-simulating (all sweep reports, plus\n"
-        "          `placement`: the curated MC-placement study of\n"
-        "          one mesh, and --schema: the metric schema +\n"
-        "          fingerprint; --compute-missing simulates cache\n"
-        "          holes instead of failing; `timeline` renders a\n"
-        "          sampler JSON (--in) as a windowed time series;\n"
-        "          quarantined cells render as annotated holes —\n"
-        "          --retry-quarantined recomputes them with\n"
-        "          --compute-missing instead)\n"
-        "  merge   [--skip-bad] --out FILE CACHE...\n"
-        "          combine partial sweep caches (from --shard runs)\n"
-        "          into one; the result is byte-identical to an\n"
-        "          unsharded sweep's cache; a corrupt cell fails the\n"
-        "          merge naming the cell and byte offset, unless\n"
-        "          --skip-bad salvages the intact cells around it\n"
-        "  cell    --bench B --protocol P --out FILE [--scale N]\n"
-        "          [--mesh WxH] [--mc-tiles T,T,...] [--full-size]\n"
-        "          [--fault-inject SPEC --fault-seed N\n"
-        "          --fault-attempt K]\n"
-        "          compute one sweep cell; used internally by\n"
-        "          `sweep --supervise` worker processes\n"
-        "  fuzz    [--seed N] [--runs N] [--time-budget SEC]\n"
-        "          [--minimize] [--corpus DIR] [--report FILE]\n"
-        "          [--no-isolate] [--no-replay] [--max-ticks N]\n"
-        "          [--deadline-ms N] [--minimize-tests N]\n"
-        "          draw N seeded random-but-valid scenarios (mesh,\n"
-        "          MC placement, protocol, DRAM timings, synthetic\n"
-        "          workload mix) and run each under the runtime\n"
-        "          invariant checker — conservation laws plus\n"
-        "          run-twice replay determinism; every scenario runs\n"
-        "          in a crash-isolated worker with a deadline, so a\n"
-        "          crash or hang is captured in the report (with its\n"
-        "          one-line reproducer) instead of killing the\n"
-        "          campaign; --minimize delta-debugs each failure to\n"
-        "          a near-minimal scenario; --corpus DIR emits the\n"
-        "          minimized anomalies as regression .scn files;\n"
-        "          exits nonzero on any violation or crash\n"
-        "  fuzzone --scenario LINE --out FILE [--max-ticks N]\n"
-        "          [--no-replay]\n"
-        "          check one encoded scenario and write a checksummed\n"
-        "          verdict file; used internally by `fuzz` workers\n"
-        "  info    --trace FILE\n"
-        "          describe a trace file\n"
-        "\n"
-        "topology: --mesh WxH sets the mesh (default 4x4); --mcs N\n"
-        "the memory-controller count (default: one per corner);\n"
-        "--mc-tiles T,T,... places controllers on explicit tiles\n"
-        "(edge vs center vs diagonal placement studies)\n"
-        "\n"
-        "observability (every command): --debug-flags F,F,... enables\n"
-        "sim-time tracing (flags: mesi denovo noc dram queue sweep\n"
-        "supervisor;\n"
-        "`all` enables everything), windowed by --debug-start T and\n"
-        "--debug-end T; --sample-window N samples registered counters\n"
-        "every N ticks into --sample-out FILE (default\n"
-        "wastesim_samples_%%p_%%b.json; %%p/%%b expand to protocol /\n"
-        "benchmark); --timeline FILE writes a Chrome trace-event JSON\n"
-        "(chrome://tracing, Perfetto); --heatmap FILE writes per-link\n"
-        "NoC flit counts per window as CSV; -v/-vv raise log\n"
-        "verbosity (status / debug) independently of --debug-flags,\n"
-        "which traces regardless of verbosity once enabled\n"
-        "\n"
-        "benchmarks:",
-        prog);
-    for (BenchmarkName b : allBenchmarks)
-        std::fprintf(stderr, " %s", benchmarkName(b));
-    std::fprintf(stderr, "\nprotocols: ");
-    for (ProtocolName p : allProtocols)
-        std::fprintf(stderr, " %s", protocolName(p));
-    std::fprintf(stderr, "\n");
-    return 2;
+    std::string needs; //!< what a valid value is, for the parse error
+    std::function<bool(const std::string &)> parse; //!< false: invalid
+};
+
+/**
+ * One row of a flag table.  A row without a metavar is a switch; the
+ * row without a name (at most one per table) takes the operands.
+ */
+struct Flag
+{
+    const char *name;
+    const char *metavar;
+    std::string help;
+    Setter set;
+    const char *alias = nullptr;
+    bool required = false; //!< the command cannot run without it
+};
+
+using FlagTable = std::vector<Flag>;
+
+FlagTable
+cat(std::initializer_list<FlagTable> parts)
+{
+    FlagTable all;
+    for (const FlagTable &p : parts)
+        all.insert(all.end(), p.begin(), p.end());
+    return all;
 }
 
-/** Argument cursor with typed accessors; calls fatal() on misuse. */
-class Args
+/** @p f, marked as required. */
+Flag
+required(Flag f)
 {
-  public:
-    Args(int argc, char **argv) : argc_(argc), argv_(argv) {}
+    f.required = true;
+    return f;
+}
 
-    bool done() const { return i_ >= argc_; }
+Setter
+str(std::string &dst)
+{
+    return {"a value", [&dst](const std::string &v) {
+                dst = v;
+                return true;
+            }};
+}
 
+/** A repeatable flag, or the operands. */
+Setter
+strs(std::vector<std::string> &dst)
+{
+    return {"a value", [&dst](const std::string &v) {
+                dst.push_back(v);
+                return true;
+            }};
+}
+
+/** Parse all of @p v as a decimal T (no sign for unsigned T). */
+template <class T>
+bool
+parseNum(const std::string &v, T &out)
+{
+    const char *end = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+    return ec == std::errc() && ptr == end;
+}
+
+/** An unsigned integer in [lo, hi]. */
+template <class T>
+Setter
+num(T &dst, T lo = 0, T hi = std::numeric_limits<T>::max())
+{
+    return {"an unsigned integer in [" + std::to_string(lo) + ", " +
+                std::to_string(hi) + "]",
+            [&dst, lo, hi](const std::string &v) {
+                T r = 0;
+                if (!parseNum(v, r) || r < lo || r > hi)
+                    return false;
+                dst = r;
+                return true;
+            }};
+}
+
+/** A real number; with @p non_negative, one >= 0. */
+Setter
+real(double &dst, bool non_negative = false)
+{
+    return {non_negative ? "a number >= 0" : "a number",
+            [&dst, non_negative](const std::string &v) {
+                double r = 0;
+                if (!parseNum(v, r) || (non_negative && !(r >= 0)))
+                    return false;
+                dst = r;
+                return true;
+            }};
+}
+
+/** A switch: stores @p value when given. */
+template <class T>
+Setter
+store(T &dst, T value)
+{
+    return {"", [&dst, value](const std::string &) {
+                dst = value;
+                return true;
+            }};
+}
+
+/** Parse @p argv against @p table; fatal, naming @p cmd, on misuse. */
+void
+parseFlags(const char *cmd, const FlagTable &table, int argc,
+           char **argv)
+{
+    std::vector<bool> seen(table.size());
+    for (int i = 0; i < argc; ++i) {
+        const std::string a = argv[i];
+        // Every flag name starts with '-'; anything else is an operand.
+        const auto row =
+            std::find_if(table.begin(), table.end(), [&](const Flag &f) {
+                if (!f.name)
+                    return a.empty() || a[0] != '-';
+                return a == f.name || (f.alias && a == f.alias);
+            });
+        fatal_if(row == table.end(), "%s: unknown option '%s'", cmd,
+                 a.c_str());
+        std::string value = a;
+        if (row->name && row->metavar) {
+            fatal_if(i + 1 == argc, "%s: %s needs a value", cmd,
+                     a.c_str());
+            value = argv[++i];
+        }
+        fatal_if(!row->set.parse(value), "%s: %s needs %s, got '%s'", cmd,
+                 a.c_str(), row->set.needs.c_str(), value.c_str());
+        seen[row - table.begin()] = true;
+    }
+    for (std::size_t r = 0; r < table.size(); ++r)
+        fatal_if(table[r].required && !seen[r], "%s: %s is required", cmd,
+                 table[r].name);
+}
+
+/** @p label, then the words of @p text wrapped at 79 columns. */
+std::string
+wrapped(std::string label, const std::string &text)
+{
+    const std::string indent(label.size(), ' ');
+    std::string out;
+    std::istringstream words(text);
+    for (std::string w; words >> w; label += " " + w) {
+        if (label.size() + 1 + w.size() > 79) {
+            out += label + "\n";
+            label = indent;
+        }
+    }
+    return out + label + "\n";
+}
+
+/** One help entry per row of @p table. */
+std::string
+flagHelp(const FlagTable &table)
+{
+    std::string out;
+    for (const Flag &f : table) {
+        std::string lhs = std::string(f.name ? f.name : "") +
+                          (f.alias ? ", " + std::string(f.alias) : "") +
+                          (f.name && f.metavar ? " " : "") +
+                          (f.metavar ? f.metavar : "");
+        lhs.resize(std::max<std::size_t>(lhs.size(), 23), ' ');
+        out += wrapped("  " + lhs, f.help + (f.required ? " (required)" : ""));
+    }
+    return out;
+}
+
+/** "a, b, c" from @p items, each spelled by @p name. */
+template <class Range, class Name = std::identity>
+std::string
+joined(const Range &items, Name name = {})
+{
+    std::string out;
+    for (const auto &item : items)
+        out += (out.empty() ? "" : ", ") + std::string(name(item));
+    return out;
+}
+
+// --- shared flag groups -----------------------------------------------------
+
+/**
+ * --mesh / --mcs / --mc-tiles.  The flags only fill fields; the
+ * topology is built once all flags are parsed, so their position
+ * relative to --full-size (which selects the whole SimParams) does
+ * not matter.
+ */
+struct TopoArgs
+{
+    unsigned meshX = 0, meshY = 0;  //!< 0 = not given
+    unsigned mcs = 0;               //!< 0 = default placement
+    std::vector<NodeId> mcTiles;    //!< explicit placement (--mc-tiles)
+
+    FlagTable
+    flags()
+    {
+        return {
+            {"--mesh", "WxH", "mesh shape (default: the paper's 4x4)",
+             {"a WxH mesh spec (e.g. 4x4)", [this](const std::string &v) {
+                  return Topology::parseMesh(v, meshX, meshY);
+              }}},
+            {"--mcs", "N", "memory controllers (default: one per corner)",
+             num(mcs)},
+            {"--mc-tiles", "T,T,...", "memory controllers on these tiles",
+             {"comma-separated tile ids below " + std::to_string(maxTiles),
+              [this](const std::string &v) {
+                  return Topology::parseTileList(v, mcTiles);
+              }}},
+        };
+    }
+
+    /** True when any topology flag was given. */
+    bool
+    given() const
+    {
+        return meshX != 0 || mcs != 0 || !mcTiles.empty();
+    }
+
+    /** Fail, naming @p cmd, when --mcs and --mc-tiles are both given. */
+    void
+    checkPlacement(const char *cmd) const
+    {
+        fatal_if(mcs != 0 && !mcTiles.empty(),
+                 "%s: --mcs and --mc-tiles are mutually exclusive", cmd);
+    }
+
+    /** The requested topology (paper default when nothing given). */
+    Topology
+    make(const char *cmd) const
+    {
+        checkPlacement(cmd);
+        const unsigned x = meshX == 0 ? meshDim : meshX;
+        const unsigned y = meshX == 0 ? meshDim : meshY;
+        if (!mcTiles.empty())
+            return Topology(x, y, mcTiles);
+        if (meshX == 0 && mcs == 0)
+            return Topology{};
+        return Topology(x, y, mcs);
+    }
+};
+
+Flag
+scaleFlag(unsigned &scale)
+{
+    return {"--scale", "N", "benchmark input-size multiplier (default 1)",
+            num(scale, 1u)};
+}
+
+Flag
+fullSizeFlag(bool &full_size)
+{
+    return {"--full-size", nullptr,
+            "full-size Table-4.1 caches, not SimParams::scaled()",
+            store(full_size, true)};
+}
+
+SimParams
+simParams(bool full_size)
+{
+    return full_size ? SimParams{} : SimParams::scaled();
+}
+
+Flag
+benchFlag(std::string &bench_name)
+{
+    return required({"--bench", "NAME", "benchmark", str(bench_name)});
+}
+
+Flag
+traceFlag(std::string &trace_path)
+{
+    return required({"--trace", "FILE", "trace file", str(trace_path)});
+}
+
+Flag
+outFlag(std::string &out, const char *help)
+{
+    return {"--out", "FILE", help, str(out), "-o"};
+}
+
+/** Repeatable --protocol; none given means all of them. */
+Flag
+protocolsFlag(std::vector<ProtocolName> &protocols)
+{
+    return {"--protocol", "P", "protocol to run (repeatable; default all)",
+            {"one of " + joined(allProtocols, protocolName),
+             [&protocols](const std::string &v) {
+                 ProtocolName p;
+                 if (!protocolFromName(v, p))
+                     return false;
+                 protocols.push_back(p);
+                 return true;
+             }}};
+}
+
+/** --fault-inject / --fault-seed, shared by `sweep` and its worker. */
+FlagTable
+faultFlags(FaultSpec &faults, std::uint64_t &fault_seed)
+{
+    return {
+        {"--fault-inject", "SPEC",
+         "seeded worker faults, e.g. crash:0.1,hang:0.1,corrupt:0.1",
+         {"crash:P,hang:P,corrupt:P", [&faults](const std::string &v) {
+              return FaultSpec::parse(v, faults);
+          }}},
+        {"--fault-seed", "N", "seed of the fault draws", num(fault_seed)},
+    };
+}
+
+/** --max-ticks / --no-replay, shared by `fuzz` and its worker. */
+FlagTable
+fuzzCheckFlags(FuzzOptions &opts)
+{
+    return {
+        {"--max-ticks", "N", "tick budget per run", num(opts.maxTicks)},
+        {"--no-replay", nullptr, "skip the run-twice determinism check",
+         store(opts.checkReplay, false)},
+    };
+}
+
+/** Reports only `report` renders, from no single sweep grid: the
+ *  multi-sweep MC placement study and a sampler time series. */
+const std::vector<std::string> reportOnlyNames = {"placement", "timeline"};
+const std::vector<std::string> defaultReports = {"fig5.1a", "headline"};
+const std::string defaultCachePath = "wastesim_sweep.cache";
+
+/** The grid flags shared by `sweep` and `report`. */
+struct GridArgs
+{
+    std::vector<std::string> reports;
+    ReportFormat fmt = ReportFormat::Table;
+    std::string cachePath;
+    std::vector<std::pair<unsigned, unsigned>> meshList;
+    unsigned scale = 1;
+    unsigned jobs = 0; //!< 0: $WASTESIM_JOBS, else every hardware thread
+    bool full_size = false, retryQuarantined = false;
+    TopoArgs topo;
+
+    FlagTable
+    flags()
+    {
+        return cat(
+            {{{"--report", "NAME", "figure to render (repeatable)",
+               strs(reports)},
+              {"--format", "FMT", "table, json or csv (default table)",
+               {"table, json or csv", [this](const std::string &v) {
+                    return reportFormatFromName(v, fmt);
+                }}},
+              {"--cache", "FILE",
+               "sweep cache ($WASTESIM_CACHE, else " + defaultCachePath + ")",
+               str(cachePath)},
+              {"--mesh-list", "WxH,WxH,...", "one grid per listed mesh",
+               {"comma-separated WxH specs", [this](const std::string &v) {
+                    return Topology::parseMeshList(v, meshList);
+                }}},
+              {"--jobs", "N", "simulation threads (default $WASTESIM_JOBS)",
+               num(jobs, 1u, 1024u)},
+              {"--retry-quarantined", nullptr,
+               "recompute quarantined cells, not show them as holes",
+               store(retryQuarantined, true)},
+              scaleFlag(scale), fullSizeFlag(full_size)},
+             topo.flags()});
+    }
+
+    /**
+     * Fail on any --report name outside reportNames() and @p extra,
+     * before any cache is read or cell simulated (the error lists the
+     * valid names); then apply the defaults, --jobs and --format.
+     */
+    void
+    prepare(const char *cmd, std::vector<std::string> extra = {})
+    {
+        std::vector<std::string> valid = reportNames();
+        valid.insert(valid.end(), extra.begin(), extra.end());
+        for (const std::string &r : reports)
+            fatal_if(std::find(valid.begin(), valid.end(), r) ==
+                         valid.end(),
+                     "%s: unknown report '%s' (valid: %s)", cmd,
+                     r.c_str(), joined(valid).c_str());
+        if (reports.empty())
+            reports = defaultReports;
+        setSweepJobs(jobs);
+        // inform() status lines share stdout with the reports; in the
+        // structured formats they would corrupt the JSON/CSV stream.
+        if (fmt != ReportFormat::Table)
+            logVerbosity = 0;
+    }
+
+    /** --cache FILE beats $WASTESIM_CACHE beats the default. */
     std::string
-    next()
+    cacheFile() const
     {
-        fatal_if(done(), "missing argument");
-        return argv_[i_++];
+        if (!cachePath.empty())
+            return cachePath;
+        if (const char *env = std::getenv("WASTESIM_CACHE"))
+            return env;
+        return defaultCachePath;
     }
 
-    std::string
-    value(const std::string &flag)
+    /**
+     * The full grid over one mesh from the topology flags, or over
+     * each --mesh-list mesh.  Enforces the mesh/mesh-list and
+     * mc-tiles/mesh-list exclusivity rules.
+     */
+    SweepSpec
+    spec(const char *cmd) const
     {
-        fatal_if(done(), "%s needs a value", flag.c_str());
-        return argv_[i_++];
+        SimParams params = simParams(full_size);
+        params.topo = topo.make(cmd);
+        SweepSpec spec = SweepSpec::fullGrid(scale, params);
+        if (meshList.empty())
+            return spec;
+        fatal_if(topo.meshX != 0,
+                 "%s: --mesh and --mesh-list are mutually exclusive", cmd);
+        fatal_if(!topo.mcTiles.empty(),
+                 "%s: --mc-tiles needs a single --mesh (explicit tile ids "
+                 "do not transfer across mesh sizes)",
+                 cmd);
+        spec.topologies.clear();
+        for (const auto &[x, y] : meshList)
+            spec.topologies.emplace_back(x, y, topo.mcs);
+        return spec;
+    }
+};
+
+/**
+ * Observability options, accepted uniformly by every subcommand.
+ * -v/-vv drive inform()/warn() only; --debug-flags is an independent
+ * channel (tracing works at -q and stays off at -vv unless flags are
+ * named explicitly).
+ */
+struct ObsCli
+{
+    std::string debugFlags;
+    Tick debugStart = 0;
+    Tick debugEnd = ~Tick(0);
+    ObsConfig cfg; //!< what apply() installs as obsConfig()
+    int verbosity = 1;
+
+    static inline const std::string defaultSampleOut =
+        "wastesim_samples_%p_%b.json";
+
+    FlagTable
+    flags()
+    {
+        return {
+            {"--debug-flags", "F,F,...", "sim-time tracing to stderr",
+             str(debugFlags)},
+            {"--debug-start", "T", "first tick traced", num(debugStart)},
+            {"--debug-end", "T", "first tick not traced", num(debugEnd)},
+            {"--sample-window", "N", "sample counters every N ticks",
+             num(cfg.sampleWindow)},
+            {"--sample-out", "FILE",
+             "sampler JSON (default " + defaultSampleOut + ")",
+             str(cfg.sampleOut)},
+            {"--timeline", "FILE",
+             "trace-event JSON of sim time (sweep: of the cells)",
+             str(cfg.timelineOut)},
+            {"--heatmap", "FILE", "per-window per-link NoC flits as CSV",
+             str(cfg.heatmapOut)},
+            {"-v", nullptr, "status log lines", store(verbosity, 2)},
+            {"-vv", nullptr, "debug log lines too", store(verbosity, 3)},
+        };
     }
 
-    std::uint64_t
-    uvalue(const std::string &flag,
-           std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+    /** Validate and install into the process-wide state. */
+    void
+    apply(const char *cmd) const
     {
-        const std::string v = value(flag);
-        char *end = nullptr;
-        errno = 0;
-        const unsigned long long r = std::strtoull(v.c_str(), &end, 10);
-        // strtoull silently wraps negatives; reject them explicitly.
-        fatal_if(end == v.c_str() || *end != '\0' ||
-                     v.find('-') != std::string::npos ||
-                     errno == ERANGE || r > max,
-                 "%s needs an unsigned integer in [0, %llu], got '%s'",
-                 flag.c_str(), static_cast<unsigned long long>(max),
-                 v.c_str());
-        return r;
+        logVerbosity = verbosity;
+        if (!debugFlags.empty()) {
+            std::string err;
+            fatal_if(!debug::setFlags(debugFlags, &err), "%s: %s",
+                     cmd, err.c_str());
+        }
+        debug::windowStart = debugStart;
+        debug::windowEnd = debugEnd;
+        fatal_if(!cfg.sampleOut.empty() && cfg.sampleWindow == 0,
+                 "%s: --sample-out needs --sample-window", cmd);
+        fatal_if(!cfg.heatmapOut.empty() && cfg.sampleWindow == 0,
+                 "%s: --heatmap shares the sampling window; pass "
+                 "--sample-window too",
+                 cmd);
+        ObsConfig &out = obsConfig();
+        out = cfg;
+        if (cfg.sampleWindow != 0 && cfg.sampleOut.empty())
+            out.sampleOut = defaultSampleOut;
     }
-
-    /** uvalue() bounded to 32 bits (the common `unsigned` knobs). */
-    unsigned
-    u32value(const std::string &flag)
-    {
-        return static_cast<unsigned>(
-            uvalue(flag, std::numeric_limits<std::uint32_t>::max()));
-    }
-
-    double
-    fvalue(const std::string &flag)
-    {
-        const std::string v = value(flag);
-        char *end = nullptr;
-        const double r = std::strtod(v.c_str(), &end);
-        fatal_if(end == v.c_str() || *end != '\0',
-                 "%s needs a number, got '%s'", flag.c_str(),
-                 v.c_str());
-        return r;
-    }
-
-  private:
-    int argc_;
-    char **argv_;
-    int i_ = 0;
 };
 
 /** Compact per-protocol result table for replay/synth runs. */
@@ -303,80 +576,6 @@ printRunTable(const Sweep &s)
     }
 }
 
-/** Shared protocol-list parsing: --protocol may repeat. */
-void
-parseProtocol(const std::string &v, std::vector<ProtocolName> &out)
-{
-    ProtocolName p;
-    fatal_if(!protocolFromName(v, p), "unknown protocol '%s'",
-             v.c_str());
-    out.push_back(p);
-}
-
-std::vector<ProtocolName>
-defaultProtocols()
-{
-    return {allProtocols, allProtocols + numProtocols};
-}
-
-/** Parse a comma-separated tile-id list ("0,5,10,15"); fatal on
- *  malformed input. */
-std::vector<NodeId>
-parseTileList(const std::string &flag, const std::string &v)
-{
-    std::vector<NodeId> tiles;
-    fatal_if(!Topology::parseTileList(v, tiles),
-             "%s needs comma-separated tile ids below %u, got '%s'",
-             flag.c_str(), maxTiles, v.c_str());
-    return tiles;
-}
-
-/**
- * Deferred --mesh / --mcs / --mc-tiles parsing: flags are collected
- * while walking the argument list and applied once at the end, so
- * their position relative to --full-size (which replaces the whole
- * SimParams) does not matter.
- */
-struct TopoArgs
-{
-    unsigned meshX = 0, meshY = 0;  //!< 0 = not given
-    unsigned mcs = 0;               //!< 0 = default placement
-    std::vector<NodeId> mcTiles;    //!< explicit placement (--mc-tiles)
-
-    void
-    parseMesh(const std::string &flag, const std::string &v)
-    {
-        fatal_if(!Topology::parseMesh(v, meshX, meshY),
-                 "%s needs a WxH mesh spec (e.g. 4x4), got '%s'",
-                 flag.c_str(), v.c_str());
-    }
-
-    /** True when any topology flag was given. */
-    bool
-    given() const
-    {
-        return meshX != 0 || mcs != 0 || !mcTiles.empty();
-    }
-
-    /** The requested topology (paper default when nothing given). */
-    Topology
-    make() const
-    {
-        fatal_if(mcs != 0 && !mcTiles.empty(),
-                 "--mcs and --mc-tiles are mutually exclusive");
-        const unsigned x = meshX == 0 ? meshDim : meshX;
-        const unsigned y = meshX == 0 ? meshDim : meshY;
-        if (!mcTiles.empty())
-            return Topology(x, y, mcTiles);
-        if (meshX == 0 && mcs == 0)
-            return Topology{};
-        return Topology(x, y, mcs);
-    }
-
-    /** Install into @p params (after all flags are parsed). */
-    void apply(SimParams &params) const { params.topo = make(); }
-};
-
 /** Slurp a small text file; fatal when unreadable. */
 std::string
 readTextFile(const char *cmd, const std::string &path)
@@ -390,106 +589,6 @@ readTextFile(const char *cmd, const std::string &path)
         text.append(buf, n);
     std::fclose(f);
     return text;
-}
-
-/**
- * Observability options, accepted uniformly by every subcommand:
- *
- *   --debug-flags A,B,...  enable named trace flags (to stderr)
- *   --debug-start T        first tick traces may fire (default 0)
- *   --debug-end T          first tick traces go silent again
- *   --sample-window N      sample registered counters every N ticks
- *   --sample-out FILE      sampler JSON path (%p protocol, %b bench)
- *   --timeline FILE        trace-event JSON (sim time; for sweep: the
- *                          wall-clock cell lifecycle)
- *   --heatmap FILE         per-window per-link flit CSV (%p/%b)
- *   -v / -vv               raise log verbosity (inform/debug)
- *
- * Precedence: -v/-vv drive inform()/warn() only; --debug-flags is an
- * independent channel (tracing works at -q and stays off at -vv
- * unless flags are named explicitly).
- */
-struct ObsCli
-{
-    std::string debugFlags;
-    Tick debugStart = 0;
-    Tick debugEnd = ~Tick(0);
-    Tick sampleWindow = 0;
-    std::string sampleOut;
-    std::string timelineOut;
-    std::string heatmapOut;
-    int verbosity = 1;
-
-    /** Consume @p a if it is an observability flag. */
-    bool
-    tryParse(const std::string &a, Args &args)
-    {
-        if (a == "--debug-flags")
-            debugFlags = args.value(a);
-        else if (a == "--debug-start")
-            debugStart = args.uvalue(a);
-        else if (a == "--debug-end")
-            debugEnd = args.uvalue(a);
-        else if (a == "--sample-window")
-            sampleWindow = args.uvalue(a);
-        else if (a == "--sample-out")
-            sampleOut = args.value(a);
-        else if (a == "--timeline")
-            timelineOut = args.value(a);
-        else if (a == "--heatmap")
-            heatmapOut = args.value(a);
-        else if (a == "-v")
-            verbosity = 2;
-        else if (a == "-vv")
-            verbosity = 3;
-        else
-            return false;
-        return true;
-    }
-
-    /**
-     * Validate and install into the process-wide state.  @p
-     * sim_timeline is false for `sweep`, whose --timeline is the
-     * wall-clock cell lifecycle written by the engine rather than the
-     * per-run sim-time trace.
-     */
-    void
-    apply(const char *cmd, bool sim_timeline = true) const
-    {
-        logVerbosity = verbosity;
-        if (!debugFlags.empty()) {
-            std::string err;
-            fatal_if(!debug::setFlags(debugFlags, &err), "%s: %s",
-                     cmd, err.c_str());
-        }
-        debug::windowStart = debugStart;
-        debug::windowEnd = debugEnd;
-        fatal_if(!sampleOut.empty() && sampleWindow == 0,
-                 "%s: --sample-out needs --sample-window", cmd);
-        fatal_if(!heatmapOut.empty() && sampleWindow == 0,
-                 "%s: --heatmap shares the sampling window; pass "
-                 "--sample-window too",
-                 cmd);
-        ObsConfig &cfg = obsConfig();
-        cfg.sampleWindow = sampleWindow;
-        cfg.sampleOut = sampleOut;
-        if (sampleWindow != 0 && sampleOut.empty())
-            cfg.sampleOut = "wastesim_samples_%p_%b.json";
-        cfg.timelineOut = sim_timeline ? timelineOut : std::string();
-        cfg.heatmapOut = heatmapOut;
-    }
-};
-
-/** Sweep-cache path resolution shared by sweep and report:
- *  --cache FILE beats $WASTESIM_CACHE beats the default. */
-std::string
-resolveCachePath(const std::string &cache_flag)
-{
-    if (!cache_flag.empty())
-        return cache_flag;
-    if (const char *env = std::getenv("WASTESIM_CACHE"))
-        return env;
-    return "wastesim_sweep.cache";
 }
 
 /**
@@ -515,68 +614,38 @@ loadCacheSalvage(const char *cmd, CellCache &cache,
     }
 }
 
-/**
- * The topology axis of a grid command (shared by sweep and report):
- * one mesh from the TopoArgs, or the --mesh-list sequence.  Enforces
- * the mesh/mesh-list and mc-tiles/mesh-list exclusivity rules.
- */
-std::vector<Topology>
-topologyAxis(const char *cmd, const TopoArgs &topo,
-             const std::string &mesh_list_spec, const SimParams &params)
-{
-    if (mesh_list_spec.empty())
-        return {params.topo};
-    fatal_if(topo.meshX != 0,
-             "%s: --mesh and --mesh-list are mutually exclusive", cmd);
-    fatal_if(!topo.mcTiles.empty(),
-             "%s: --mc-tiles needs a single --mesh (explicit tile ids "
-             "do not transfer across mesh sizes)",
-             cmd);
-    std::vector<std::pair<unsigned, unsigned>> dims;
-    fatal_if(!Topology::parseMeshList(mesh_list_spec, dims),
-             "%s: --mesh-list needs comma-separated WxH specs, got "
-             "'%s'",
-             cmd, mesh_list_spec.c_str());
-    std::vector<Topology> topologies;
-    for (const auto &[x, y] : dims)
-        topologies.emplace_back(x, y, topo.mcs);
-    return topologies;
-}
+// --- subcommands ------------------------------------------------------------
+//
+// Each subcommand is an options struct: flags() binds its table rows
+// to its fields, run() checks combinations of flags and acts.  The
+// observability flags are parsed and applied for every subcommand by
+// command(), before run().
 
-int
-cmdRecord(Args args)
+struct RecordCmd
 {
     std::string bench_name, out;
     unsigned scale = 1;
     TopoArgs topo;
-    ObsCli obs;
-    while (!args.done()) {
-        const std::string a = args.next();
-        if (a == "--bench")
-            bench_name = args.value(a);
-        else if (a == "--scale")
-            scale = args.u32value(a);
-        else if (a == "--mesh")
-            topo.parseMesh(a, args.value(a));
-        else if (a == "--mcs")
-            topo.mcs = args.u32value(a);
-        else if (a == "--mc-tiles")
-            topo.mcTiles = parseTileList(a, args.value(a));
-        else if (a == "--out" || a == "-o")
-            out = args.value(a);
-        else if (obs.tryParse(a, args)) {
-        } else
-            fatal("record: unknown option '%s'", a.c_str());
-    }
-    obs.apply("record");
-    fatal_if(bench_name.empty(), "record: --bench is required");
-    fatal_if(out.empty(), "record: --out is required");
 
+    FlagTable
+    flags()
+    {
+        return cat({{benchFlag(bench_name), scaleFlag(scale),
+                     required(outFlag(out, "trace file to write"))},
+                    topo.flags()});
+    }
+
+    int run();
+};
+
+int
+RecordCmd::run()
+{
     BenchmarkName bench;
     fatal_if(!benchmarkFromName(bench_name, bench),
              "record: unknown benchmark '%s'", bench_name.c_str());
 
-    auto wl = makeBenchmark(bench, scale, topo.make());
+    auto wl = makeBenchmark(bench, scale, topo.make("record"));
     TraceRecorder rec(out);
     fatal_if(!rec.record(*wl), "record: %s", rec.error().c_str());
     std::printf("recorded %s (%s) to %s: %zu ops, %zu regions, "
@@ -587,65 +656,43 @@ cmdRecord(Args args)
     return 0;
 }
 
-int
-cmdReplay(Args args)
+struct ReplayCmd
 {
     std::string trace_path;
     std::vector<ProtocolName> protocols;
-    SimParams params = SimParams::scaled();
+    bool full_size = false;
     TopoArgs topo;
-    ObsCli obs;
-    while (!args.done()) {
-        const std::string a = args.next();
-        if (a == "--trace")
-            trace_path = args.value(a);
-        else if (a == "--protocol")
-            parseProtocol(args.value(a), protocols);
-        else if (a == "--mesh")
-            topo.parseMesh(a, args.value(a));
-        else if (a == "--mcs")
-            topo.mcs = args.u32value(a);
-        else if (a == "--mc-tiles")
-            topo.mcTiles = parseTileList(a, args.value(a));
-        else if (a == "--full-size")
-            params = SimParams{};
-        else if (obs.tryParse(a, args)) {
-        } else
-            fatal("replay: unknown option '%s'", a.c_str());
-    }
-    obs.apply("replay");
-    fatal_if(trace_path.empty(), "replay: --trace is required");
-    if (protocols.empty())
-        protocols = defaultProtocols();
 
-    // v2 traces are self-describing: without explicit topology flags
-    // the replay runs on the recorded geometry instead of forcing the
-    // user to re-type what the header already knows.  Flags (or a v1
-    // trace) fall back to the old default-topology behavior.
+    FlagTable
+    flags()
+    {
+        return cat({{traceFlag(trace_path), protocolsFlag(protocols),
+                     fullSizeFlag(full_size)},
+                    topo.flags()});
+    }
+
+    int run();
+};
+
+int
+ReplayCmd::run()
+{
+    if (protocols.empty())
+        protocols.assign(allProtocols, allProtocols + numProtocols);
+
+    // Traces are self-describing: without topology flags the replay
+    // runs on the recorded geometry instead of forcing the user to
+    // re-type what the header already knows.
+    SimParams params = simParams(full_size);
     std::string err;
     std::unique_ptr<TraceWorkload> wl;
     if (topo.given()) {
-        topo.apply(params);
+        params.topo = topo.make("replay");
         wl = TraceWorkload::load(trace_path, params.topo, &err);
     } else {
         wl = TraceWorkload::loadAnyTopology(trace_path, &err);
-        if (wl) {
-            if (wl->hasRecordedTopology()) {
-                // The loader already installed the recorded topology.
-                params.topo = wl->topo();
-            } else {
-                // v1 trace: only its core count can gate the default.
-                params.topo = Topology{};
-                fatal_if(
-                    wl->numCores() != params.topo.numTiles(),
-                    "replay: %s: trace was recorded for %u cores; "
-                    "the default topology %s has %u (pass a matching "
-                    "--mesh)",
-                    trace_path.c_str(), wl->numCores(),
-                    params.topo.describe().c_str(),
-                    params.topo.numTiles());
-            }
-        }
+        if (wl)
+            params.topo = wl->topo();
     }
     fatal_if(!wl, "replay: %s", err.c_str());
     std::printf("loaded %s: %zu ops, %zu regions, %zu barriers\n",
@@ -657,89 +704,92 @@ cmdReplay(Args args)
     return 0;
 }
 
-int
-cmdSynth(Args args)
+struct SynthCmd
 {
-    SynthParams sp;
     std::string out, presetName;
     std::vector<ProtocolName> protocols;
-    SimParams params = SimParams::scaled();
+    bool full_size = false;
     TopoArgs topo;
-    Topology presetTopo;
-    bool full_size = false, have_preset = false;
-    ObsCli obs;
     // Preset parameters are derived from the FINAL topology (--mesh
-    // may refine the preset's curated mesh), so parameter flags are
-    // collected as deferred tuners and applied after the preset.
+    // may refine the preset's curated mesh), so parameter flags parse
+    // into `given` and queue a tuner that applies them after the
+    // preset, wherever --preset appears.
+    SynthParams given;
     std::vector<std::function<void(SynthParams &)>> tuners;
-    auto tune = [&tuners](auto value, auto member) {
-        tuners.push_back([value, member](SynthParams &p) {
-            p.*member = value;
-        });
-    };
-    while (!args.done()) {
-        const std::string a = args.next();
-        if (a == "--preset") {
-            presetName = args.value(a);
-            fatal_if(!synthPresetFromName(presetName, sp, presetTopo),
-                     "synth: unknown preset '%s' (hotsetN, all2all, "
-                     "mc-corner)",
-                     presetName.c_str());
-            have_preset = true;
-        } else if (a == "--seed")
-            tune(args.uvalue(a), &SynthParams::seed);
-        else if (a == "--pattern") {
-            const std::string v = args.value(a);
-            SynthParams::Pattern pattern;
-            fatal_if(!SynthParams::patternFromName(v, pattern),
-                     "synth: unknown pattern '%s' (stride, random, "
-                     "hotset)",
-                     v.c_str());
-            tune(pattern, &SynthParams::pattern);
-        } else if (a == "--ops")
-            tune(args.u32value(a), &SynthParams::opsPerCore);
-        else if (a == "--phases")
-            tune(args.u32value(a), &SynthParams::phases);
-        else if (a == "--regions")
-            tune(args.u32value(a), &SynthParams::sharedRegions);
-        else if (a == "--region-bytes")
-            tune(args.u32value(a), &SynthParams::regionBytes);
-        else if (a == "--private-bytes")
-            tune(args.u32value(a), &SynthParams::privateBytes);
-        else if (a == "--sharing-degree")
-            tune(args.u32value(a), &SynthParams::sharingDegree);
-        else if (a == "--read-frac")
-            tune(args.fvalue(a), &SynthParams::readFraction);
-        else if (a == "--shared-frac")
-            tune(args.fvalue(a), &SynthParams::sharedFraction);
-        else if (a == "--stride")
-            tune(args.u32value(a), &SynthParams::strideWords);
-        else if (a == "--hot-frac")
-            tune(args.fvalue(a), &SynthParams::hotFraction);
-        else if (a == "--hot-prob")
-            tune(args.fvalue(a), &SynthParams::hotProbability);
-        else if (a == "--work")
-            tune(args.u32value(a), &SynthParams::workCycles);
-        else if (a == "--bypass")
-            tune(true, &SynthParams::bypassShared);
-        else if (a == "--mesh")
-            topo.parseMesh(a, args.value(a));
-        else if (a == "--mcs")
-            topo.mcs = args.u32value(a);
-        else if (a == "--mc-tiles")
-            topo.mcTiles = parseTileList(a, args.value(a));
-        else if (a == "--out" || a == "-o")
-            out = args.value(a);
-        else if (a == "--protocol")
-            parseProtocol(args.value(a), protocols);
-        else if (a == "--full-size") {
-            params = SimParams{};
-            full_size = true;
-        } else if (obs.tryParse(a, args)) {
-        } else
-            fatal("synth: unknown option '%s'", a.c_str());
+
+    /** A tuning flag: @p set fills `given.*m`, the tuner copies it. */
+    template <class T>
+    Setter
+    tune(T SynthParams::*m, Setter set)
+    {
+        return {set.needs, [this, m, parse = set.parse](const std::string &v) {
+                    if (!parse(v))
+                        return false;
+                    tuners.push_back(
+                        [m, x = given.*m](SynthParams &p) { p.*m = x; });
+                    return true;
+                }};
     }
-    obs.apply("synth");
+
+    FlagTable
+    flags()
+    {
+        using P = SynthParams;
+        auto count = [this](unsigned P::*m) { return tune(m, num(given.*m)); };
+        auto frac = [this](double P::*m) { return tune(m, real(given.*m)); };
+        return cat(
+            {{{"--preset", "NAME", "curated scenario, applied first",
+               {"one of " + joined(synthPresetNames()),
+                [this](const std::string &v) {
+                    SynthParams sp;
+                    Topology t;
+                    presetName = v;
+                    return synthPresetFromName(v, sp, t);
+                }}},
+              {"--seed", "N", "generator seed",
+               tune(&P::seed, num(given.seed))},
+              {"--pattern", "P", "access pattern",
+               tune(&P::pattern,
+                    {"one of " + joined(P::allPatterns, P::patternName),
+                     [this](const std::string &v) {
+                         return P::patternFromName(v, given.pattern);
+                     }})},
+              {"--ops", "N", "memory accesses per core",
+               count(&P::opsPerCore)},
+              {"--phases", "N", "barrier-delimited phases", count(&P::phases)},
+              {"--regions", "N", "shared regions", count(&P::sharedRegions)},
+              {"--region-bytes", "N", "shared region size",
+               count(&P::regionBytes)},
+              {"--private-bytes", "N", "private bytes per core",
+               count(&P::privateBytes)},
+              {"--sharing-degree", "N", "cores per sharing cluster",
+               count(&P::sharingDegree)},
+              {"--read-frac", "F", "loads / accesses", frac(&P::readFraction)},
+              {"--shared-frac", "F", "shared / accesses",
+               frac(&P::sharedFraction)},
+              {"--stride", "W", "stride in words", count(&P::strideWords)},
+              {"--hot-frac", "F", "hot-subset size", frac(&P::hotFraction)},
+              {"--hot-prob", "F", "hot-subset hit rate",
+               frac(&P::hotProbability)},
+              {"--work", "N", "work cycles per access", count(&P::workCycles)},
+              {"--bypass", nullptr, "mark shared regions L2-bypass",
+               tune(&P::bypassShared, store(given.bypassShared, true))},
+              outFlag(out, "save the trace instead of simulating it"),
+              protocolsFlag(protocols), fullSizeFlag(full_size)},
+             topo.flags()});
+    }
+
+    int run();
+};
+
+int
+SynthCmd::run()
+{
+    SimParams params = simParams(full_size);
+    SynthParams sp;
+    Topology presetTopo;
+    const bool have_preset =
+        !presetName.empty() && synthPresetFromName(presetName, sp, presetTopo);
 
     fatal_if(!out.empty() && (!protocols.empty() || full_size),
              "synth: --out saves a trace without simulating; it "
@@ -754,8 +804,7 @@ cmdSynth(Args args)
             topo.meshX != 0 ? topo.meshX : presetTopo.meshX();
         const unsigned y =
             topo.meshX != 0 ? topo.meshY : presetTopo.meshY();
-        fatal_if(topo.mcs != 0 && !topo.mcTiles.empty(),
-                 "--mcs and --mc-tiles are mutually exclusive");
+        topo.checkPlacement("synth");
         if (!topo.mcTiles.empty()) {
             params.topo = Topology(x, y, topo.mcTiles);
         } else if (topo.mcs != 0) {
@@ -781,7 +830,7 @@ cmdSynth(Args args)
                               : Topology(x, y);
         }
     } else {
-        topo.apply(params);
+        params.topo = topo.make("synth");
     }
 
     // Presets are topology-aware: with the final geometry known,
@@ -808,32 +857,10 @@ cmdSynth(Args args)
     }
 
     if (protocols.empty())
-        protocols = defaultProtocols();
+        protocols.assign(allProtocols, allProtocols + numProtocols);
     const Sweep s = runSweep({wl.get()}, protocols, params);
     printRunTable(s);
     return 0;
-}
-
-/**
- * Fail on any --report name that @p cmd cannot render, before any
- * cache is read or cell simulated: reportNames() plus @p extra, the
- * names only @p cmd accepts.  The error lists the valid names.
- */
-void
-checkReportNames(const char *cmd, const std::vector<std::string> &reports,
-                 const std::vector<std::string> &extra = {})
-{
-    std::vector<std::string> valid = reportNames();
-    valid.insert(valid.end(), extra.begin(), extra.end());
-    for (const std::string &r : reports) {
-        if (std::find(valid.begin(), valid.end(), r) != valid.end())
-            continue;
-        std::string list;
-        for (const std::string &v : valid)
-            list += (list.empty() ? "" : ", ") + v;
-        fatal("%s: unknown report '%s' (valid: %s)", cmd, r.c_str(),
-              list.c_str());
-    }
 }
 
 /**
@@ -851,17 +878,6 @@ renderReport(const std::string &r, const Sweep &s,
              "unknown report '%s'", r.c_str());
     f.context = context;
     return renderFigure(f, fmt);
-}
-
-/** Shared --format parsing. */
-ReportFormat
-parseFormat(const std::string &flag, const std::string &v)
-{
-    ReportFormat fmt = ReportFormat::Table;
-    fatal_if(!reportFormatFromName(v, fmt),
-             "%s needs table, json or csv, got '%s'", flag.c_str(),
-             v.c_str());
-    return fmt;
 }
 
 /**
@@ -931,66 +947,48 @@ emitFigureTexts(const std::vector<std::string> &texts,
  * attempt) — the same deterministic draw the tests predict — and
  * crashes, hangs or corrupts its own output on demand.
  */
-int
-cmdCell(Args args)
+struct CellCmd
 {
-    std::string bench_name, proto_name, out, faultSpecStr;
+    std::string bench_name, proto_name, out;
     unsigned scale = 1;
+    bool full_size = false;
+    FaultSpec faults;
     std::uint64_t faultSeed = 0;
     unsigned faultAttempt = 0;
-    SimParams params = SimParams::scaled();
     TopoArgs topo;
-    ObsCli obs;
-    while (!args.done()) {
-        const std::string a = args.next();
-        if (a == "--bench")
-            bench_name = args.value(a);
-        else if (a == "--protocol")
-            proto_name = args.value(a);
-        else if (a == "--scale")
-            scale = args.u32value(a);
-        else if (a == "--mesh")
-            topo.parseMesh(a, args.value(a));
-        else if (a == "--mcs")
-            topo.mcs = args.u32value(a);
-        else if (a == "--mc-tiles")
-            topo.mcTiles = parseTileList(a, args.value(a));
-        else if (a == "--full-size")
-            params = SimParams{};
-        else if (a == "--out" || a == "-o")
-            out = args.value(a);
-        else if (a == "--fault-inject")
-            faultSpecStr = args.value(a);
-        else if (a == "--fault-seed")
-            faultSeed = args.uvalue(a);
-        else if (a == "--fault-attempt")
-            faultAttempt = args.u32value(a);
-        else if (obs.tryParse(a, args)) {
-        } else
-            fatal("cell: unknown option '%s'", a.c_str());
+
+    FlagTable
+    flags()
+    {
+        return cat({{benchFlag(bench_name),
+                     required({"--protocol", "P", "the cell's protocol",
+                               str(proto_name)}),
+                     required(outFlag(out, "hand-off file to write")),
+                     scaleFlag(scale), fullSizeFlag(full_size),
+                     {"--fault-attempt", "K",
+                      "attempt number, an input of the fault draw",
+                      num(faultAttempt)}},
+                    faultFlags(faults, faultSeed), topo.flags()});
     }
-    obs.apply("cell");
+
+    int run();
+};
+
+int
+CellCmd::run()
+{
     // Workers share the parent's stderr; status chatter from dozens
     // of children would drown the supervisor's own reporting.
-    if (obs.verbosity <= 1)
+    if (logVerbosity <= 1)
         logVerbosity = 0;
-    fatal_if(bench_name.empty(), "cell: --bench is required");
-    fatal_if(proto_name.empty(), "cell: --protocol is required");
-    fatal_if(out.empty(), "cell: --out is required");
-
     BenchmarkName bench;
     fatal_if(!benchmarkFromName(bench_name, bench),
              "cell: unknown benchmark '%s'", bench_name.c_str());
     ProtocolName proto;
     fatal_if(!protocolFromName(proto_name, proto),
              "cell: unknown protocol '%s'", proto_name.c_str());
-    FaultSpec faults;
-    if (!faultSpecStr.empty()) {
-        std::string err;
-        fatal_if(!FaultSpec::parse(faultSpecStr, faults, &err),
-                 "cell: %s", err.c_str());
-    }
-    topo.apply(params);
+    SimParams params = simParams(full_size);
+    params.topo = topo.make("cell");
 
     const std::string cell_id = sweepConfigTag(scale, params) +
                                 ",bench=" + benchmarkName(bench) +
@@ -1031,131 +1029,74 @@ cmdCell(Args args)
     return 0;
 }
 
-int
-cmdSweep(Args args)
+struct SweepCmd
 {
-    unsigned scale = 1;
-    SimParams params = SimParams::scaled();
-    std::vector<std::string> reports;
-    TopoArgs topo;
-    std::string meshListSpec, cachePath;
-    unsigned shard = 0, numShards = 1;
-    unsigned progressMs = 0;
-    unsigned supervise = 0;
-    unsigned maxRetries = 3, backoffMs = 200, deadlineMs = 0;
-    std::string faultSpecStr;
-    std::uint64_t faultSeed = 0;
-    bool retryQuarantined = false, full_size = false;
-    ReportFormat fmt = ReportFormat::Table;
-    ObsCli obs;
-    while (!args.done()) {
-        const std::string a = args.next();
-        if (a == "--scale")
-            scale = args.u32value(a);
-        else if (a == "--report")
-            reports.push_back(args.value(a));
-        else if (a == "--format")
-            fmt = parseFormat(a, args.value(a));
-        else if (a == "--mesh")
-            topo.parseMesh(a, args.value(a));
-        else if (a == "--mesh-list")
-            meshListSpec = args.value(a);
-        else if (a == "--mcs")
-            topo.mcs = args.u32value(a);
-        else if (a == "--mc-tiles")
-            topo.mcTiles = parseTileList(a, args.value(a));
-        else if (a == "--shard") {
-            const std::string v = args.value(a);
-            const std::size_t slash = v.find('/');
-            char *end = nullptr;
-            unsigned long i = 0, n = 0;
-            if (slash != std::string::npos && slash > 0) {
-                i = std::strtoul(v.c_str(), &end, 10);
-                const bool i_ok = end == v.c_str() + slash;
-                n = std::strtoul(v.c_str() + slash + 1, &end, 10);
-                fatal_if(!i_ok || end != v.c_str() + v.size() ||
-                             n == 0 || i >= n || n > 4096,
-                         "sweep: --shard needs I/N with I < N, got "
-                         "'%s'",
-                         v.c_str());
-            } else {
-                fatal("sweep: --shard needs I/N (e.g. 0/4), got '%s'",
-                      v.c_str());
-            }
-            shard = static_cast<unsigned>(i);
-            numShards = static_cast<unsigned>(n);
-        } else if (a == "--cache")
-            cachePath = args.value(a);
-        else if (a == "--jobs") {
-            const unsigned jobs = args.u32value(a);
-            fatal_if(jobs < 1 || jobs > 1024,
-                     "sweep: --jobs needs a value in [1, 1024]");
-            setSweepJobs(jobs);
-        } else if (a == "--full-size") {
-            params = SimParams{};
-            full_size = true;
-        } else if (a == "--progress")
-            progressMs = 5000;
-        else if (a == "--supervise") {
-            supervise = args.u32value(a);
-            fatal_if(supervise < 1 || supervise > 256,
-                     "sweep: --supervise needs a worker count in "
-                     "[1, 256]");
-        } else if (a == "--max-retries")
-            maxRetries = args.u32value(a);
-        else if (a == "--retry-backoff-ms")
-            backoffMs = args.u32value(a);
-        else if (a == "--cell-deadline-ms")
-            deadlineMs = args.u32value(a);
-        else if (a == "--retry-quarantined")
-            retryQuarantined = true;
-        else if (a == "--fault-inject")
-            faultSpecStr = args.value(a);
-        else if (a == "--fault-seed")
-            faultSeed = args.uvalue(a);
-        else if (obs.tryParse(a, args)) {
-        } else
-            fatal("sweep: unknown option '%s'", a.c_str());
+    GridArgs grid;
+    unsigned supervise = 0; //!< worker processes; 0 = threaded engine
+    SupervisorConfig cfg;   //!< also the engine's shard and progress
+
+    FlagTable
+    flags()
+    {
+        return cat(
+            {grid.flags(),
+             {{"--shard", "I/N",
+               "compute grid slice I of N into a partial cache for `merge`",
+               {"I/N with I < N <= 4096", [this](const std::string &v) {
+                    // A malformed spec fails the command, so the
+                    // fields may be left half-written.
+                    const std::size_t slash = v.find('/');
+                    return slash != std::string::npos &&
+                           parseNum(v.substr(0, slash), cfg.shard) &&
+                           parseNum(v.substr(slash + 1), cfg.numShards) &&
+                           cfg.shard < cfg.numShards &&
+                           cfg.numShards <= 4096;
+                }}},
+              {"--progress", nullptr,
+               "print a heartbeat with ETA and flag stalled cells",
+               store(cfg.progressMs, 5000u)},
+              {"--supervise", "N",
+               "compute cells on N crash-isolated worker processes, with "
+               "retries, deadlines and poison-cell quarantine",
+               num(supervise, 1u, 256u)},
+              {"--max-retries", "N", "retries per supervised cell (default 3)",
+               num(cfg.maxRetries)},
+              {"--retry-backoff-ms", "N", "base retry backoff (default 200)",
+               num(cfg.backoffBaseMs)},
+              {"--cell-deadline-ms", "N",
+               "kill a supervised cell after N ms (default 0: never)",
+               num(cfg.deadlineMs)}},
+             faultFlags(cfg.faults, cfg.faultSeed)});
     }
-    checkReportNames("sweep", reports);
-    FaultSpec faults;
-    if (!faultSpecStr.empty()) {
-        std::string fault_err;
-        fatal_if(!FaultSpec::parse(faultSpecStr, faults, &fault_err),
-                 "sweep: %s", fault_err.c_str());
-    }
+
+    int run();
+};
+
+int
+SweepCmd::run()
+{
+    // In a sweep, --timeline means the wall-clock cell-lifecycle trace
+    // (the engine's view), not a per-simulation sim-time trace: cells
+    // run concurrently and would race on one sim-time file.
+    const std::string timeline = std::exchange(obsConfig().timelineOut, {});
+    grid.prepare("sweep");
     // Faults only make sense where a crash is isolated to one worker
     // process; injecting them into the threaded engine would take
     // down the whole sweep, which is exactly the failure mode the
     // supervisor exists to prevent.
-    fatal_if(faults.any() && supervise == 0,
+    fatal_if(cfg.faults.any() && supervise == 0,
              "sweep: --fault-inject needs --supervise N (faults "
              "crash worker processes, not the sweep itself)");
-    // In a sweep, --timeline means the wall-clock cell-lifecycle
-    // trace (the engine's view), not a per-simulation sim-time trace:
-    // cells run concurrently and would race on one sim-time file.
-    obs.apply("sweep", /*sim_timeline=*/false);
-    if (reports.empty())
-        reports = {"fig5.1a", "headline"};
-    // inform() status lines share stdout with the reports; in the
-    // structured formats they would corrupt the JSON/CSV stream.
-    if (fmt != ReportFormat::Table)
-        logVerbosity = 0;
-    topo.apply(params);
+    const ReportFormat fmt = grid.fmt;
+    const SweepSpec spec = grid.spec("sweep");
 
-    std::vector<Topology> topologies =
-        topologyAxis("sweep", topo, meshListSpec, params);
-
-    const std::string path = resolveCachePath(cachePath);
+    const std::string path = grid.cacheFile();
     const bool no_cache = std::getenv("WASTESIM_NO_CACHE") != nullptr;
     // A shard's only product is its partial cache file; running one
     // with the cache disabled would discard every result.
-    fatal_if(numShards > 1 && no_cache,
+    fatal_if(cfg.numShards > 1 && no_cache,
              "sweep: --shard writes a partial cache; unset "
              "WASTESIM_NO_CACHE to run sharded");
-
-    SweepSpec spec = SweepSpec::fullGrid(scale, params);
-    spec.topologies = std::move(topologies);
 
     CellCache cache;
     if (!no_cache)
@@ -1171,25 +1112,16 @@ cmdSweep(Args args)
     std::size_t numRetries = 0, numKills = 0;
     bool was_interrupted;
     if (supervise > 0) {
-        SupervisorConfig cfg;
         cfg.workers = supervise;
-        cfg.maxRetries = maxRetries;
-        cfg.backoffBaseMs = backoffMs;
-        cfg.deadlineMs = deadlineMs;
-        cfg.faultSeed = faultSeed;
-        cfg.faults = faults;
-        cfg.retryQuarantined = retryQuarantined;
-        cfg.progressMs = progressMs;
+        cfg.retryQuarantined = grid.retryQuarantined;
         if (!no_cache)
             cfg.autosavePath = path;
-        cfg.timelinePath = obs.timelineOut;
-        cfg.shard = shard;
-        cfg.numShards = numShards;
+        cfg.timelinePath = timeline;
         // The worker must rebuild the exact SimParams of this parent;
         // topology travels per cell, scale and the full-size switch
         // travel here.
-        cfg.workerParamArgs = {"--scale", std::to_string(scale)};
-        if (full_size)
+        cfg.workerParamArgs = {"--scale", std::to_string(grid.scale)};
+        if (grid.full_size)
             cfg.workerParamArgs.push_back("--full-size");
         SweepSupervisor sup(spec, cfg);
         sweeps = sup.run(cache);
@@ -1202,8 +1134,8 @@ cmdSweep(Args args)
         was_interrupted = sup.interrupted();
     } else {
         SweepEngine engine(spec);
-        if (numShards > 1)
-            engine.setShard(shard, numShards);
+        if (cfg.numShards > 1)
+            engine.setShard(cfg.shard, cfg.numShards);
         // Partial-cache resume: every finished cell is persisted
         // immediately (atomic rename), so a killed shard restarts
         // from its completed cells instead of recomputing the slice —
@@ -1211,9 +1143,9 @@ cmdSweep(Args args)
         // write.
         if (!no_cache)
             engine.setAutosave(path);
-        engine.setProgress(progressMs);
-        engine.setTimeline(obs.timelineOut);
-        engine.setRetryQuarantined(retryQuarantined);
+        engine.setProgress(cfg.progressMs);
+        engine.setTimeline(timeline);
+        engine.setRetryQuarantined(grid.retryQuarantined);
         engine.setStopCheck([] { return drainRequestCount() > 0; });
         sweeps = engine.run(cache);
         cellsTotal = engine.cellsTotal();
@@ -1247,17 +1179,17 @@ cmdSweep(Args args)
         return 130;
     }
 
-    if (numShards > 1) {
+    if (cfg.numShards > 1) {
         // A shard owns a grid slice, so its Sweeps are partial; the
         // cache file is the product.  Reports come after `merge`.
         std::printf("shard %u/%u: partial cache written to %s; run "
                     "`wastesim merge` over all shards, then `sweep "
                     "--cache MERGED` for reports\n",
-                    shard, numShards, path.c_str());
+                    cfg.shard, cfg.numShards, path.c_str());
         return 0;
     }
 
-    emitFigureTexts(renderSweepReports(reports, spec, sweeps, fmt),
+    emitFigureTexts(renderSweepReports(grid.reports, spec, sweeps, fmt),
                     fmt);
     return 0;
 }
@@ -1270,58 +1202,33 @@ cmdSweep(Args args)
  * cache holes by simulation (the placement study needs five sweeps;
  * computing them through report saves the five `sweep` invocations).
  */
-int
-cmdReport(Args args)
+struct ReportCmd
 {
-    unsigned scale = 1;
-    SimParams params = SimParams::scaled();
-    std::vector<std::string> reports;
-    TopoArgs topo;
-    std::string meshListSpec, cachePath;
+    GridArgs grid;
     std::string inPath;
-    ReportFormat fmt = ReportFormat::Table;
     bool schema = false, compute_missing = false;
-    bool retry_quarantined = false;
-    ObsCli obs;
-    while (!args.done()) {
-        const std::string a = args.next();
-        if (a == "--scale")
-            scale = args.u32value(a);
-        else if (a == "--report")
-            reports.push_back(args.value(a));
-        else if (a == "--format")
-            fmt = parseFormat(a, args.value(a));
-        else if (a == "--mesh")
-            topo.parseMesh(a, args.value(a));
-        else if (a == "--mesh-list")
-            meshListSpec = args.value(a);
-        else if (a == "--mcs")
-            topo.mcs = args.u32value(a);
-        else if (a == "--mc-tiles")
-            topo.mcTiles = parseTileList(a, args.value(a));
-        else if (a == "--cache")
-            cachePath = args.value(a);
-        else if (a == "--jobs") {
-            const unsigned jobs = args.u32value(a);
-            fatal_if(jobs < 1 || jobs > 1024,
-                     "report: --jobs needs a value in [1, 1024]");
-            setSweepJobs(jobs);
-        } else if (a == "--full-size")
-            params = SimParams{};
-        else if (a == "--schema")
-            schema = true;
-        else if (a == "--compute-missing")
-            compute_missing = true;
-        else if (a == "--retry-quarantined")
-            retry_quarantined = true;
-        else if (a == "--in")
-            inPath = args.value(a);
-        else if (obs.tryParse(a, args)) {
-        } else
-            fatal("report: unknown option '%s'", a.c_str());
+
+    FlagTable
+    flags()
+    {
+        return cat(
+            {grid.flags(),
+             {{"--schema", nullptr, "print the metric schema instead",
+               store(schema, true)},
+              {"--compute-missing", nullptr,
+               "simulate (and cache) missing cells instead of failing",
+               store(compute_missing, true)},
+              {"--in", "FILE", "sampler JSON for the timeline report",
+               str(inPath)}}});
     }
-    checkReportNames("report", reports, {"placement", "timeline"});
-    obs.apply("report");
+
+    int run();
+};
+
+int
+ReportCmd::run()
+{
+    grid.prepare("report", reportOnlyNames);
 
     if (schema) {
         // The machine-readable metric schema: fingerprint first, one
@@ -1335,18 +1242,14 @@ cmdReport(Args args)
         return 0;
     }
 
-    if (reports.empty())
-        reports = {"fig5.1a", "headline"};
-    if (fmt != ReportFormat::Table)
-        logVerbosity = 0;
-    topo.apply(params);
+    const ReportFormat fmt = grid.fmt;
 
     // The placement study is a multi-sweep report, and the timeline
     // renders from an --in file instead of the sweep cache;
     // everything else renders from one grid per mesh.
     bool placement = false, want_timeline = false;
     std::vector<std::string> single;
-    for (const std::string &r : reports) {
+    for (const std::string &r : grid.reports) {
         if (r == "placement")
             placement = true;
         else if (r == "timeline")
@@ -1358,7 +1261,7 @@ cmdReport(Args args)
              "report: the timeline report reads a sampler JSON file; "
              "pass --in FILE");
 
-    const std::string path = resolveCachePath(cachePath);
+    const std::string path = grid.cacheFile();
     // WASTESIM_NO_CACHE means the same as for `sweep`: neither serve
     // from nor write the cache file (with --compute-missing the whole
     // grid is then simulated and the results discarded after use).
@@ -1367,17 +1270,16 @@ cmdReport(Args args)
     if (!no_cache)
         loadCacheSalvage("report", cache, path);
 
-    fatal_if(placement && !meshListSpec.empty(),
+    fatal_if(placement && !grid.meshList.empty(),
              "report: the placement study sweeps placements of one "
              "mesh; use --mesh, not --mesh-list");
     // The study compares the curated placements, which would silently
     // override an explicit MC request.
-    fatal_if(placement && (topo.mcs != 0 || !topo.mcTiles.empty()),
+    fatal_if(placement && (grid.topo.mcs != 0 || !grid.topo.mcTiles.empty()),
              "report: the placement study uses its curated MC "
              "placements; --mcs/--mc-tiles cannot be combined with "
              "it");
-    const std::vector<Topology> topologies =
-        topologyAxis("report", topo, meshListSpec, params);
+    const SweepSpec grid_spec = grid.spec("report");
 
     // Assemble a grid of fully cached cells (or, with
     // --compute-missing, simulate the holes and persist them).
@@ -1389,7 +1291,7 @@ cmdReport(Args args)
             const std::string key = spec.cellKey(spec.cellAt(i));
             if (cache.has(key))
                 continue;
-            if (!retry_quarantined && cache.isQuarantined(key))
+            if (!grid.retryQuarantined && cache.isQuarantined(key))
                 ++quarantined;
             else
                 ++missing;
@@ -1400,7 +1302,7 @@ cmdReport(Args args)
                  "first, or pass --compute-missing to simulate them",
                  missing, spec.numCells(), path.c_str());
         SweepEngine engine(spec);
-        engine.setRetryQuarantined(retry_quarantined);
+        engine.setRetryQuarantined(grid.retryQuarantined);
         // The per-cell autosave persists the full cache as it grows;
         // the last cell's write is the final state, no explicit save.
         if (missing > 0 && !no_cache)
@@ -1422,16 +1324,15 @@ cmdReport(Args args)
     std::vector<std::string> texts;
 
     if (!single.empty()) {
-        SweepSpec spec = SweepSpec::fullGrid(scale, params);
-        spec.topologies = topologies;
-        const std::vector<Sweep> sweeps = assemble(spec);
-        texts = renderSweepReports(single, spec, sweeps, fmt);
+        const std::vector<Sweep> sweeps = assemble(grid_spec);
+        texts = renderSweepReports(single, grid_spec, sweeps, fmt);
     }
 
     if (placement) {
-        const auto placements = curatedMcPlacements(
-            params.topo.meshX(), params.topo.meshY());
-        SweepSpec spec = SweepSpec::fullGrid(scale, params);
+        const Topology &mesh = grid_spec.params.topo;
+        const auto placements =
+            curatedMcPlacements(mesh.meshX(), mesh.meshY());
+        SweepSpec spec = grid_spec;
         spec.topologies.clear();
         std::vector<std::string> names;
         for (const auto &[name, t] : placements) {
@@ -1440,7 +1341,7 @@ cmdReport(Args args)
         }
         const std::vector<Sweep> sweeps = assemble(spec);
         Figure f = buildPlacementStudy(names, spec.topologies, sweeps);
-        f.context = params.topo.describe();
+        f.context = mesh.describe();
         std::string text = renderFigure(f, fmt);
         if (fmt == ReportFormat::Table)
             text += "\n";
@@ -1466,27 +1367,29 @@ cmdReport(Args args)
     return 0;
 }
 
-int
-cmdMerge(Args args)
+struct MergeCmd
 {
     std::string out;
     std::vector<std::string> inputs;
     bool skip_bad = false;
-    ObsCli obs;
-    while (!args.done()) {
-        const std::string a = args.next();
-        if (a == "--out" || a == "-o")
-            out = args.value(a);
-        else if (a == "--skip-bad")
-            skip_bad = true;
-        else if (obs.tryParse(a, args)) {
-        } else if (!a.empty() && a[0] == '-')
-            fatal("merge: unknown option '%s'", a.c_str());
-        else
-            inputs.push_back(a);
+
+    FlagTable
+    flags()
+    {
+        return {required(outFlag(out, "merged cache to write")),
+                {"--skip-bad", nullptr,
+                 "salvage the intact cells of a damaged input",
+                 store(skip_bad, true)},
+                {nullptr, "CACHE...", "partial caches to combine",
+                 strs(inputs)}};
     }
-    obs.apply("merge");
-    fatal_if(out.empty(), "merge: --out is required");
+
+    int run();
+};
+
+int
+MergeCmd::run()
+{
     fatal_if(inputs.empty(), "merge: no input caches given");
 
     // Strict by default: a damaged shard cache is an error naming the
@@ -1534,22 +1437,18 @@ cmdMerge(Args args)
     return 0;
 }
 
-int
-cmdInfo(Args args)
+struct InfoCmd
 {
     std::string trace_path;
-    ObsCli obs;
-    while (!args.done()) {
-        const std::string a = args.next();
-        if (a == "--trace")
-            trace_path = args.value(a);
-        else if (obs.tryParse(a, args)) {
-        } else
-            fatal("info: unknown option '%s'", a.c_str());
-    }
-    obs.apply("info");
-    fatal_if(trace_path.empty(), "info: --trace is required");
 
+    FlagTable flags() { return {traceFlag(trace_path)}; }
+
+    int run();
+};
+
+int
+InfoCmd::run()
+{
     std::string err;
     auto wl = TraceWorkload::loadAnyTopology(trace_path, &err);
     fatal_if(!wl, "info: %s", err.c_str());
@@ -1557,12 +1456,8 @@ cmdInfo(Args args)
     std::printf("trace:     %s\n", trace_path.c_str());
     std::printf("workload:  %s\n", wl->name().c_str());
     std::printf("input:     %s\n", wl->inputDesc().c_str());
-    if (wl->hasRecordedTopology())
-        std::printf("topology:  %s (%u MCs)\n",
-                    wl->topo().describe().c_str(),
-                    wl->topo().numMemCtrls());
-    else
-        std::printf("topology:  unknown (v1 trace; core count only)\n");
+    std::printf("topology:  %s (%u MCs)\n",
+                wl->topo().describe().c_str(), wl->topo().numMemCtrls());
     std::printf("ops:       %zu across %u cores\n", wl->totalOps(),
                 wl->numCores());
     std::printf("barriers:  %zu\n", wl->barriers().size());
@@ -1586,43 +1481,41 @@ cmdInfo(Args args)
  * by re-running with the same seed (or pasting the reported scenario
  * line into `fuzzone`).
  */
-int
-cmdFuzz(Args args)
+struct FuzzCmd
 {
     FuzzOptions opts;
     std::string reportPath;
-    ObsCli obs;
-    while (!args.done()) {
-        const std::string a = args.next();
-        if (a == "--seed")
-            opts.seed = args.uvalue(a);
-        else if (a == "--runs")
-            opts.runs = args.uvalue(a);
-        else if (a == "--time-budget")
-            opts.timeBudgetSec = args.fvalue(a);
-        else if (a == "--minimize")
-            opts.minimize = true;
-        else if (a == "--corpus")
-            opts.corpusDir = args.value(a);
-        else if (a == "--report")
-            reportPath = args.value(a);
-        else if (a == "--no-isolate")
-            opts.isolate = false;
-        else if (a == "--no-replay")
-            opts.checkReplay = false;
-        else if (a == "--max-ticks")
-            opts.maxTicks = args.uvalue(a);
-        else if (a == "--deadline-ms")
-            opts.deadlineMs = args.u32value(a);
-        else if (a == "--minimize-tests")
-            opts.minimizeMaxTests = args.u32value(a);
-        else if (obs.tryParse(a, args)) {
-        } else
-            fatal("fuzz: unknown option '%s'", a.c_str());
-    }
-    obs.apply("fuzz");
-    fatal_if(opts.timeBudgetSec < 0, "fuzz: --time-budget must be >= 0");
 
+    FlagTable
+    flags()
+    {
+        return cat(
+            {{{"--seed", "N", "campaign seed", num(opts.seed)},
+              {"--runs", "N", "scenarios to draw", num(opts.runs)},
+              {"--time-budget", "SEC", "stop drawing after SEC seconds",
+               real(opts.timeBudgetSec, /*non_negative=*/true)},
+              {"--minimize", nullptr,
+               "delta-debug each failure to a near-minimal scenario",
+               store(opts.minimize, true)},
+              {"--corpus", "DIR", "write minimized anomalies as .scn files",
+               str(opts.corpusDir)},
+              {"--report", "FILE", "copy the report to FILE", str(reportPath)},
+              {"--no-isolate", nullptr,
+               "run scenarios in-process, not in crash-isolated workers",
+               store(opts.isolate, false)},
+              {"--deadline-ms", "N", "per-scenario worker deadline",
+               num(opts.deadlineMs)},
+              {"--minimize-tests", "N", "minimizer test budget per failure",
+               num(opts.minimizeMaxTests)}},
+             fuzzCheckFlags(opts)});
+    }
+
+    int run();
+};
+
+int
+FuzzCmd::run()
+{
     // SIGINT drains: finish the in-flight scenario, then report what
     // ran instead of losing the campaign.
     installDrainHandlers();
@@ -1645,34 +1538,93 @@ cmdFuzz(Args args)
 /** `wastesim fuzzone` — one scenario, checked in this process; the
  *  worker half of `fuzz` (kept as a public subcommand so a reported
  *  scenario line is directly replayable). */
-int
-cmdFuzzone(Args args)
+struct FuzzoneCmd
 {
     std::string line, out;
-    Tick maxTicks = FuzzOptions{}.maxTicks;
-    bool checkReplay = true;
-    ObsCli obs;
-    while (!args.done()) {
-        const std::string a = args.next();
-        if (a == "--scenario")
-            line = args.value(a);
-        else if (a == "--out" || a == "-o")
-            out = args.value(a);
-        else if (a == "--max-ticks")
-            maxTicks = args.uvalue(a);
-        else if (a == "--no-replay")
-            checkReplay = false;
-        else if (obs.tryParse(a, args)) {
-        } else
-            fatal("fuzzone: unknown option '%s'", a.c_str());
+    FuzzOptions opts; //!< only the check options apply
+
+    FlagTable
+    flags()
+    {
+        return cat({{required({"--scenario", "LINE", "encoded scenario",
+                               str(line)}),
+                     required(outFlag(out, "verdict file to write"))},
+                    fuzzCheckFlags(opts)});
     }
-    obs.apply("fuzzone");
+
+    int run();
+};
+
+int
+FuzzoneCmd::run()
+{
     // Workers share the campaign's stderr; keep them quiet unless -v.
-    if (obs.verbosity <= 1)
+    if (logVerbosity <= 1)
         logVerbosity = 0;
-    fatal_if(line.empty(), "fuzzone: --scenario is required");
-    fatal_if(out.empty(), "fuzzone: --out is required");
-    return fuzzWorkerMain(line, out, maxTicks, checkReplay);
+    return fuzzWorkerMain(line, out, opts.maxTicks, opts.checkReplay);
+}
+
+// --- the command table ------------------------------------------------------
+
+struct Command
+{
+    const char *name;
+    const char *summary;
+    std::string (*flagHelp)(); //!< help lines of its own flags
+    /** Parse @p argv into a fresh options object, then run it. */
+    int (*run)(const char *name, int argc, char **argv);
+};
+
+template <class Cmd>
+Command
+command(const char *name, const char *summary)
+{
+    // Help reads the rows of a scratch object; parsing fills a fresh one.
+    return {name, summary, [] { return flagHelp(Cmd().flags()); },
+            [](const char *cmd, int argc, char **argv) {
+                Cmd c;
+                ObsCli obs;
+                parseFlags(cmd, cat({c.flags(), obs.flags()}), argc, argv);
+                obs.apply(cmd);
+                return c.run();
+            }};
+}
+
+const Command commands[] = {
+    command<RecordCmd>("record", "serialize a benchmark to a trace file"),
+    command<ReplayCmd>("replay", "replay a trace through protocols"),
+    command<SynthCmd>("synth", "generate, save or run a synthetic scenario"),
+    command<SweepCmd>("sweep", "run the protocol x benchmark grid, cached"),
+    command<ReportCmd>("report", "render figures from a sweep cache"),
+    command<MergeCmd>("merge", "combine sharded sweep caches into one"),
+    command<CellCmd>("cell", "compute one cell (a supervised sweep's worker)"),
+    command<FuzzCmd>("fuzz", "check seeded scenarios against the invariants"),
+    command<FuzzoneCmd>("fuzzone", "check one scenario (a fuzz worker)"),
+    command<InfoCmd>("info", "describe a trace file"),
+};
+
+/** Usage from the tables and the name registries. */
+std::string
+usage()
+{
+    std::string out = "usage: wastesim <command> [options]\n\n";
+    for (const Command &c : commands) {
+        std::string name = c.name;
+        name.resize(8, ' ');
+        out += name + " " + c.summary + "\n" + c.flagHelp() + "\n";
+    }
+    using P = SynthParams;
+    return out + "every command also takes:\n" + flagHelp(ObsCli().flags()) +
+           "\n" +
+           wrapped("benchmarks: ", joined(allBenchmarks, benchmarkName)) +
+           wrapped("protocols:  ", joined(allProtocols, protocolName)) +
+           wrapped("reports:    ", joined(reportNames()) + "; `report` also " +
+                                       joined(reportOnlyNames) + " (default " +
+                                       joined(defaultReports) + ")") +
+           wrapped("debug flags:", debug::flagList() + " (all: every flag)") +
+           wrapped("presets:    ", joined(synthPresetNames()) +
+                                       " (hotsetN: any square N)") +
+           wrapped("patterns:   ", joined(P::allPatterns, P::patternName));
 }
 
 } // namespace
@@ -1680,37 +1632,17 @@ cmdFuzzone(Args args)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        return usage(argv[0]);
-
-    const std::string cmd = argv[1];
     logVerbosity = 1;
-    Args rest(argc - 2, argv + 2);
-
-    if (cmd == "record")
-        return cmdRecord(rest);
-    if (cmd == "replay")
-        return cmdReplay(rest);
-    if (cmd == "synth")
-        return cmdSynth(rest);
-    if (cmd == "sweep")
-        return cmdSweep(rest);
-    if (cmd == "report")
-        return cmdReport(rest);
-    if (cmd == "merge")
-        return cmdMerge(rest);
-    if (cmd == "cell")
-        return cmdCell(rest);
-    if (cmd == "fuzz")
-        return cmdFuzz(rest);
-    if (cmd == "fuzzone")
-        return cmdFuzzone(rest);
-    if (cmd == "info")
-        return cmdInfo(rest);
+    const std::string cmd = argc < 2 ? "" : argv[1];
     if (cmd == "help" || cmd == "--help" || cmd == "-h") {
-        usage(argv[0]);
+        std::fputs(usage().c_str(), stdout);
         return 0;
     }
-    std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
-    return usage(argv[0]);
+    for (const Command &c : commands)
+        if (cmd == c.name)
+            return c.run(c.name, argc - 2, argv + 2);
+    if (!cmd.empty())
+        std::fprintf(stderr, "unknown command '%s'\n\n", cmd.c_str());
+    std::fputs(usage().c_str(), stderr);
+    return 2;
 }

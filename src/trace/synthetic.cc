@@ -25,8 +25,7 @@ SynthParams::patternName(Pattern p)
 bool
 SynthParams::patternFromName(const std::string &s, Pattern &out)
 {
-    for (Pattern p :
-         {Pattern::Stride, Pattern::Random, Pattern::HotSet}) {
+    for (Pattern p : allPatterns) {
         if (s == patternName(p)) {
             out = p;
             return true;

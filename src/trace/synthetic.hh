@@ -35,6 +35,8 @@ struct SynthParams
         Random, //!< uniform random words within the target region
         HotSet  //!< skewed: most accesses hit a small hot subset
     };
+    static constexpr Pattern allPatterns[] = {
+        Pattern::Stride, Pattern::Random, Pattern::HotSet};
 
     std::uint64_t seed = 1;
     Pattern pattern = Pattern::Stride;

@@ -1,5 +1,5 @@
-/** Regression-corpus replay: every committed tests/corpus/*.scn
- *  scenario re-runs under the invariant checker and must match its
+/** Regression-corpus replay: every committed `.scn` scenario in
+ *  tests/corpus re-runs under the invariant checker and must match its
  *  pinned verdict (and, where pinned, its exact result CRC).  A
  *  failure here means a behavior change reached a configuration the
  *  fuzzer once flagged — regenerate the pins only if the change is

@@ -344,24 +344,28 @@ TEST(CellCache, V2DetectsCorruptionStrictlyAndSalvages)
     EXPECT_EQ(fileBytes(again.path()), fileBytes(refPath.path()));
 }
 
-TEST(CellCache, V1FilesStillLoad)
+TEST(CellCache, V1FilesAreRejected)
 {
     const SweepSpec spec = tinySpec();
     const std::string k0 = spec.cellKey(spec.cellAt(0));
     const RunResult ref = fakeCell(spec, spec.cellAt(0));
 
     // Hand-written v1 file: magic, count, then bare key + block pairs
-    // with no length/CRC meta.
+    // with no length/CRC meta.  Its magic is not recognized, in either
+    // mode, so sweep and report treat it as "not a sweep cache".
     TempPath tmp("v1_compat.cache");
     writeBytes(tmp.path(), "wastesim-cells-v1\n1\n" + k0 + "\n" +
                                resultBlock(ref));
 
     CellCache cache;
-    ASSERT_TRUE(cache.load(tmp.path()));
-    RunResult r;
-    ASSERT_TRUE(cache.get(k0, r));
-    EXPECT_EQ(resultBlock(r), resultBlock(ref));
-    EXPECT_EQ(cache.numQuarantined(), 0u);
+    EXPECT_FALSE(cache.load(tmp.path()));
+    CacheLoadReport v1rep;
+    EXPECT_FALSE(cache.load(tmp.path(), v1rep, CacheLoadMode::Salvage));
+    EXPECT_TRUE(v1rep.found);
+    EXPECT_FALSE(v1rep.formatOk);
+    EXPECT_NE(v1rep.error.find("magic"), std::string::npos)
+        << v1rep.error;
+    EXPECT_EQ(cache.size(), 0u);
 
     // A truncated v2 file (counts promise more cells than present)
     // fails strictly but salvages what was read.

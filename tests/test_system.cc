@@ -127,10 +127,8 @@ TEST(System, DeadlockIsDetectedNotHung)
     // early) must be caught by the drain check, not loop forever.
     auto wl = std::make_unique<ScriptWorkload>();
     const Addr a = wl->alloc(4096);
-    for (CoreId c = 1; c < numTiles; ++c) {
+    for (CoreId c = 1; c < numTiles; ++c)
         wl->load(c, a);
-        wl->traces()[c]; // touch
-    }
     // Only cores 1..15 arrive at a barrier; core 0 never does.
     // (Build the skewed barrier by hand.)
     // Note: barrierAll() would add it to everyone, so emulate by

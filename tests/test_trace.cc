@@ -234,7 +234,6 @@ TEST(TraceIo, V2HeaderRoundTripsFullGeometry)
         TraceHeader h;
         ASSERT_TRUE(r.readHeader(h)) << r.error();
         EXPECT_EQ(h.version, traceFormatVersion);
-        ASSERT_TRUE(h.hasTopology());
         EXPECT_EQ(h.meshX, 4u);
         EXPECT_EQ(h.meshY, 2u);
         EXPECT_EQ(h.mcTiles, (std::vector<std::uint32_t>{1, 6}));
@@ -244,7 +243,6 @@ TEST(TraceIo, V2HeaderRoundTripsFullGeometry)
     std::string err;
     auto any = TraceWorkload::loadAnyTopology(tmp.path(), &err);
     ASSERT_NE(any, nullptr) << err;
-    EXPECT_TRUE(any->hasRecordedTopology());
     EXPECT_EQ(any->topo(), topo);
 
     auto loaded = TraceWorkload::load(tmp.path(), topo, &err);
@@ -264,59 +262,24 @@ TEST(TraceIo, V2HeaderRoundTripsFullGeometry)
     EXPECT_NE(err.find("recorded on"), std::string::npos) << err;
 }
 
-TEST(TraceIo, ReadsV1TracesByCoreCountOnly)
+TEST(TraceIo, RejectsV1Traces)
 {
-    // Write a v1 file through the versioned writer: same sections,
-    // but the header carries no geometry.  This is byte-identical to
-    // what the PR-1 recorder produced.
-    auto src = makeSynthetic([] {
-        SynthParams p;
-        p.seed = 23;
-        p.opsPerCore = 150;
-        return p;
-    }());
-
-    TempFile tmp("v1compat");
+    // A v1 header, written byte by byte: magic, version 1, then the
+    // core count with no geometry after it.  Only v2 is read.
+    TempFile tmp("v1trace");
     {
         std::ofstream os(tmp.path(), std::ios::binary);
-        TraceWriter w(os);
-        TraceHeader h;
-        h.version = 1;
-        h.numCores = src->numCores();
-        h.name = src->name();
-        h.inputDesc = src->inputDesc();
-        h.numRegions = src->regions().numRegions();
-        h.numBarriers = src->barriers().size();
-        h.totalOps = src->totalOps();
-        w.writeHeader(h);
-        for (std::size_t i = 0; i < src->regions().numRegions(); ++i)
-            w.writeRegion(
-                src->regions().region(static_cast<RegionId>(i)));
-        for (const BarrierInfo &b : src->barriers())
-            w.writeBarrier(b);
-        for (const Trace &t : src->traces())
-            w.writeTrace(t);
-        w.writeTrailer();
-        ASSERT_TRUE(w.ok());
+        os.write("WASTETRC", 8);
+        const char le_u32[] = {1, 0, 0, 0, 16, 0, 0, 0};
+        os.write(le_u32, sizeof(le_u32));
     }
-
-    // A v1 trace has no geometry to validate: any topology with the
-    // right core count is accepted (the old behavior).
     std::string err;
-    auto loaded = TraceWorkload::load(tmp.path(), Topology{}, &err);
-    ASSERT_NE(loaded, nullptr) << err;
-    EXPECT_FALSE(loaded->hasRecordedTopology());
-    expectWorkloadsEqual(*src, *loaded);
-
-    auto reshaped =
-        TraceWorkload::load(tmp.path(), Topology(8, 2), &err);
-    ASSERT_NE(reshaped, nullptr) << err;
-
-    // The core count still gates v1 loads.
-    auto too_small =
-        TraceWorkload::load(tmp.path(), Topology(2, 2), &err);
-    EXPECT_EQ(too_small, nullptr);
-    EXPECT_NE(err.find("cores"), std::string::npos) << err;
+    EXPECT_EQ(TraceWorkload::loadAnyTopology(tmp.path(), &err), nullptr);
+    EXPECT_NE(err.find("unsupported trace version 1"), std::string::npos)
+        << err;
+    EXPECT_EQ(TraceWorkload::load(tmp.path(), Topology{}, &err), nullptr);
+    EXPECT_NE(err.find("unsupported trace version 1"), std::string::npos)
+        << err;
 }
 
 TEST(TraceIo, RejectsCorruptV2Geometry)
